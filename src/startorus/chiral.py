@@ -73,7 +73,7 @@ class BesselCoefficient:
     """prefactor * sum_k weight(k) I_{index(k)}(z sigma), truncated safely.
 
     index(k) must be strictly increasing; truncation stops once the next
-    term bound clears tol with a geometric safety factor.
+    term bound clears tol with a geometric safety factor; past 300 terms it raises.
     """
 
     def __init__(self, label: str, sigma: float, prefactor: float, term: Callable):
@@ -94,7 +94,7 @@ class BesselCoefficient:
             if nxt > abs(x) + 2.0 and 4.0 * _i_bound(nxt, x) < tol:
                 break
             if k > 300:
-                break
+                raise ValueError(f"{self.label!r}: no convergence in {k} Bessel terms at x = {x!r}")
         return self.prefactor * total
 
 

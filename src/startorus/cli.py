@@ -25,7 +25,7 @@ from .chiral import (
     residual_chiral,
 )
 from .fourier import FourierField, moyal_bracket, poisson_bracket, star_product
-from .geometry import admissible_points, cartan_first, example_tetrad, weyl_sample
+from .geometry import admissible_points, weyl_sample
 from .grids import SpacetimeGrid
 from .master_equation import (
     example_cauchy_data,
@@ -309,14 +309,12 @@ def cmd_curvature(args) -> int:
         raise ValueError("points must be >= 1")
     if p["step"] <= 0:
         raise ValueError("step must be positive")
-    frame = example_tetrad()
     rows = []
     for pt in admissible_points(p["points"], seed=p["seed"]):
         sample = weyl_sample(pt, step=p["step"], extracted=True)
-        solve_res = cartan_first(frame, pt, step=p["step"]).solve_residual
         rows.append(
             list(pt)
-            + [sample.c1_estimate, 0.0, sample.dotted_norm, solve_res]
+            + [sample.c1_estimate, 0.0, sample.dotted_norm, sample.structure_residual]
         )
     header = ["w", "z", "p", "q", "C1_re", "C1_im", "dotted_norm", "structure_residual"]
     _emit(_csv(header, rows), args.out)

@@ -318,25 +318,18 @@ def weyl_c1(point) -> float:
     )
 
 
-def curvature_undotted(conn_fn: Callable, point, step: float = 1e-3):
+def curvature_undotted(conn_fn: Callable, point, centre, step: float = 1e-3):
     """Self-dual curvature 2-forms from a connection-valued callable.
 
-    conn_fn(point) -> ConnectionForms.  Returns (R_A, R_B, R_C) for the
-    triple (Gamma_42, (Gamma_12 + Gamma_34)/2, Gamma_31):
+    conn_fn(point) -> ConnectionForms, and centre is its value at point.
+    Returns (R_A, R_B, R_C) for the triple (Gamma_42, (Gamma_12 + Gamma_34)/2, Gamma_31):
 
         R_A = dA + A ^ 2B,   R_B = dB + A ^ C,   R_C = dC + 2B ^ C.
     """
-    a0, b0, c0 = conn_fn(point).undotted()
-
-    def d_of(pick):
-        grad = np.array(
-            [central_diff(lambda pt: pick(conn_fn(pt)), point, i, step) for i in range(4)]
-        )
-        return grad - grad.T
-
-    da = d_of(lambda cn: cn.undotted()[0])
-    db = d_of(lambda cn: cn.undotted()[1])
-    dc = d_of(lambda cn: cn.undotted()[2])
+    a0, b0, c0 = centre.undotted()
+    triple = lambda pt: np.array(conn_fn(pt).undotted())  # noqa: E731
+    grad = np.array([central_diff(triple, point, i, step) for i in range(4)])
+    da, db, dc = (grad[:, t] - grad[:, t].T for t in range(3))  # grad[i, t, j] = d_i triple[t]_j
     r_a = da + _wedge(a0, 2.0 * b0)
     r_b = db + _wedge(a0, c0)
     r_c = dc + _wedge(2.0 * b0, c0)
@@ -352,6 +345,7 @@ class WeylSample:
     ra_norm: float
     rb_norm: float
     dotted_norm: float
+    structure_residual: float
 
     @property
     def c1_rel_err(self) -> float:
@@ -375,6 +369,7 @@ class WeylSample:
             "rb_norm": self.rb_norm,
             "other_rel_norm": self.other_rel_norm,
             "dotted_norm": self.dotted_norm,
+            "structure_residual": self.structure_residual,
         }
 
 
@@ -382,14 +377,17 @@ def weyl_sample(point, step: float = 1e-3, extracted: bool = True) -> WeylSample
     """Curvature data at one point, from first principles when extracted.
 
     extracted=True reads the connection off the coframe by Cartan solves
-    inside the numerical d; False differentiates the closed form instead.
+    inside the numerical d (nine, the one at point giving structure_residual);
+    False differentiates the closed form instead.
     """
     frame = example_tetrad()
     if extracted:
         conn_fn = lambda pt: cartan_first(frame, pt, step).conn  # noqa: E731
+        solve = cartan_first(frame, point, step)
+        centre, residual = solve.conn, solve.solve_residual
     else:
-        conn_fn = example_connection
-    r_a, r_b, r_c = curvature_undotted(conn_fn, point, step)
+        conn_fn, centre, residual = example_connection, example_connection(point), 0.0
+    r_a, r_b, r_c = curvature_undotted(conn_fn, point, centre, step)
 
     e = frame.at(point)
     basis = _wedge(e[2], e[0])  # e^3 ^ e^1
@@ -404,7 +402,8 @@ def weyl_sample(point, step: float = 1e-3, extracted: bool = True) -> WeylSample
         off_component_norm=off,
         ra_norm=float(np.max(np.abs(r_a))),
         rb_norm=float(np.max(np.abs(r_b))),
-        dotted_norm=conn_fn(point).dotted_defect(),
+        dotted_norm=centre.dotted_defect(),
+        structure_residual=residual,
     )
 
 
@@ -458,6 +457,8 @@ def weyl_report(points, step: float = 1e-3, extracted: bool = True) -> WeylRepor
 
 def admissible_points(count: int, seed: int = 0, margin: float = 0.3):
     """Deterministic sample points keeping both branch cosines above margin."""
+    if margin >= 1.0:
+        raise ValueError(f"margin must be below 1 for the cosines to clear it, got {margin!r}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:

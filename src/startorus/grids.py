@@ -138,10 +138,6 @@ class GriddedFourierField:
             )
         return cls(grid, values, hbar, band_limit)
 
-    @classmethod
-    def from_fields(cls, grid, fields, hbar: float, band_limit=None):
-        return cls(grid, fields, hbar, band_limit)
-
     def map_values(self, fn: Callable[[FourierField], FourierField]):
         out = np.empty(self.values.shape, dtype=object)
         for index in np.ndindex(*self.values.shape):

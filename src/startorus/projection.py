@@ -16,7 +16,7 @@ import numpy as np
 
 from .fourier import FourierField, moyal_bracket
 from .grids import GriddedFourierField, SpacetimeGrid
-from .sine_basis import basis_matrix, fold_mode
+from .sine_basis import _monomial, fold_mode
 
 __all__ = [
     "matched_hbar",
@@ -34,21 +34,29 @@ def matched_hbar(n: int) -> float:
     return 2.0 * np.pi / n
 
 
+def _fold(fields, n: int) -> np.ndarray:
+    """chi_n of each field: bin the signed coefficients into an n x n window,
+    drop (0, 0), and sum over mu1 the window's monomial values, whose column
+    follows from mu2 alone."""
+    col, val = _monomial(n, *np.indices((n, n)))
+    node = np.repeat(np.arange(len(fields)), [f.size for f in fields])
+    modes = np.concatenate([f.modes for f in fields])
+    (mu1, mu2), sign = fold_mode(n, modes[:, 0], modes[:, 1])
+    window = np.zeros((len(fields), n, n), dtype=np.complex128)
+    np.add.at(window, (node, mu1, mu2), sign * np.concatenate([f.coeffs for f in fields]))
+    window[:, 0, 0] = 0.0
+    out = np.zeros((len(fields), n, n), dtype=np.complex128)
+    out[:, np.arange(n), col[0]] = np.einsum("zab,abk->zbk", window, val)
+    return out
+
+
 def chi_project(field: FourierField, n: int) -> np.ndarray:
     """Fold a mode field into an n x n matrix.
 
     Modes congruent to (0, 0) mod n are annihilated; every other mode m
     lands on its window representative with the periodicity sign.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for (m1, m2), coeff in field.items():
-        mu, sign = fold_mode(n, m1, m2)
-        if mu == (0, 0):
-            continue
-        acc += (sign * coeff) * basis_matrix(n, *mu)
-    return acc
+    return _fold([field], n)[0]
 
 
 @dataclass
@@ -91,12 +99,8 @@ def chi_project_gridded(field: GriddedFourierField, n: int, hbar_tol: float = 1e
         raise ValueError(
             f"gridded field carries hbar={field.hbar!r}, expected 2*pi/{n}={target!r}"
         )
-    shape = field.grid.shape
-    out = np.zeros(shape + (n, n), dtype=np.complex128)
-    flat = out.reshape(-1, n, n)
-    for idx, f in enumerate(field.values.reshape(-1)):
-        flat[idx] = chi_project(f, n)
-    return MatrixField(field.grid, out, n)
+    out = _fold(field.values.reshape(-1), n)
+    return MatrixField(field.grid, out.reshape(field.grid.shape + (n, n)), n)
 
 
 def commutator_defect(f: FourierField, g: FourierField, n: int) -> float:

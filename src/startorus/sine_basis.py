@@ -1,11 +1,14 @@
 r"""Trigonometric basis of sl(N, C) from clock and shift matrices.
 
-With w = exp(2 pi i / N) and the fixed branch sqrt(w) = exp(i pi / N),
+With w = exp(2 pi i / N) and the fixed branch omega = sqrt(w) = exp(i pi / N),
 
-    S = sqrt(w) * diag(1, w, ..., w^(N-1)),        T = cyclic shift, T[N-1,0] = -1,
-    L_m = (i N / 2 pi) * exp(i pi m1 m2 / N) * S^m1 T^m2,
+    S = omega * diag(1, w, ..., w^(N-1)),          T = cyclic shift, T[N-1,0] = -1,
+    L_m = (i N / 2 pi) * omega^(m1 m2) * S^m1 T^m2,
 
-so that T S = w S T and S^N = T^N = -1.  Negative powers use unitarity.
+so that T S = w S T and S^N = T^N = -1.  Each L_m is monomial, kept row by row
+as its column and entry: L_m[k, (k + m2) mod N] = (i N / 2 pi) omega^e with
+e = m1 m2 + m1 (2k + 1) + N floor((k + m2) / N), read from the 2N roots omega^j.
+
 The family is N^2-periodic in m up to signs and closes under products,
 
     L_m L_n = (i N / 2 pi) exp(i pi (n x m)/N) L_{m+n},   n x m = n1 m2 - n2 m1,
@@ -17,8 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from math import lgamma  # noqa: F401  (kept nearby for tail estimates elsewhere)
 
 import numpy as np
 
@@ -56,39 +57,35 @@ def shift_matrix(n: int) -> np.ndarray:
     return t
 
 
-def _unitary_power(m: np.ndarray, k: int) -> np.ndarray:
-    if k >= 0:
-        return np.linalg.matrix_power(m, k)
-    return np.linalg.matrix_power(m.conj().T, -k)
+def _monomial(n: int, m1, m2):
+    """(col, val) with L_m[k, col[..., k]] = val[..., k]; m1, m2 may be int arrays."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    m1, m2 = (np.asarray(m, dtype=np.int64)[..., None] for m in (m1, m2))
+    wrap, col = np.divmod(np.arange(n) + m2, n)
+    expo = (m1 * m2 + m1 * (2 * np.arange(n) + 1) + n * wrap) % (2 * n)
+    return col, (1j * n / (2.0 * np.pi)) * np.exp(1j * np.pi * np.arange(2 * n) / n)[expo]
 
 
-@lru_cache(maxsize=None)
-def _basis_cached(n: int, m1: int, m2: int):
-    s = clock_matrix(n)
-    t = shift_matrix(n)
-    phase = np.exp(1j * np.pi * m1 * m2 / n)
-    mat = (1j * n / (2.0 * np.pi)) * phase * (_unitary_power(s, m1) @ _unitary_power(t, m2))
+def basis_matrix(n: int, m1: int, m2: int) -> np.ndarray:
+    """L_(m1, m2) as a read-only n x n array; any integer indices are accepted."""
+    col, val = _monomial(n, int(m1), int(m2))
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[np.arange(n), col] = val
     mat.setflags(write=False)
     return mat
 
 
-def basis_matrix(n: int, m1: int, m2: int) -> np.ndarray:
-    """L_(m1, m2) as an n x n array; any integer indices are accepted."""
-    return _basis_cached(n, int(m1), int(m2))
-
-
-def fold_mode(n: int, m1: int, m2: int):
-    """Reduce m into the fundamental window [0, n)^2.
+def fold_mode(n: int, m1, m2):
+    """Reduce m into the fundamental window [0, n)^2, elementwise for arrays.
 
     Returns ((mu1, mu2), sign) with L_m = sign * L_mu, sign = +-1 from the
     periodicity rule L_{mu + n r} = (-1)^((mu1+1) r2 + (mu2+1) r1 + n r1 r2) L_mu.
     """
-    mu1 = m1 % n
-    mu2 = m2 % n
-    r1 = (m1 - mu1) // n
-    r2 = (m2 - mu2) // n
+    r1, mu1 = divmod(m1, n)
+    r2, mu2 = divmod(m2, n)
     exponent = (mu1 + 1) * r2 + (mu2 + 1) * r1 + n * r1 * r2
-    return (mu1, mu2), (-1 if exponent % 2 else 1)
+    return (mu1, mu2), 1 - 2 * (exponent % 2)
 
 
 def fundamental_window(n: int):
@@ -100,6 +97,16 @@ def structure_constant(n: int, mu, nu) -> float:
     """(n/pi) sin(pi/n * (mu1 nu2 - mu2 nu1))."""
     cross = mu[0] * nu[1] - mu[1] * nu[0]
     return (n / np.pi) * np.sin(np.pi * cross / n)
+
+
+def _max_entry(vals, cols=None) -> float:
+    """Max-abs entry of a sum of monomial matrices, term t holding vals[t][..., k]
+    in row k at column cols[t][..., k] (cols=None: all terms share columns).
+    Values in different columns of a row do not cancel."""
+    if cols is None or all(np.array_equal(col, cols[0]) for col in cols[1:]):
+        return float(np.max(np.abs(sum(vals[1:], vals[0]))))
+    entries = (sum(np.where(c == col, v, 0) for c, v in zip(cols, vals)) for col in cols)
+    return max(float(np.max(np.abs(entry))) for entry in entries)
 
 
 @dataclass
@@ -160,77 +167,70 @@ def verify_basis_properties(
     Covers: periodicity signs under m -> m + n r, tracelessness off the
     n-divisible lattice, the trace on that lattice, the product and
     commutator closure, adjoint and inverse relations (two independent
-    equalities), and the determinant closed form.
+    equalities), and the determinant closed form; LAPACK checks the last
+    two on each dense L_mu, monomial arithmetic the rest.
     """
-    window = fundamental_window(n)
     pref = 1j * n / (2.0 * np.pi)
-    dev = {}
+    window = fundamental_window(n)
+    mu1, mu2 = np.array(window).T
+    col, val = _monomial(n, mu1, mu2)
+    rows = np.arange(n)
+    r1, r2 = (r.ravel() for r in np.indices((2 * shift_range + 1,) * 2) - shift_range)
+    d_per = d_prod = d_comm = d_inv = d_det = d_naive = 0.0
+    for s1, s2 in zip(r1, r2):
+        (f1, f2), sign = fold_mode(n, mu1 + n * s1, mu2 + n * s2)
+        assert np.array_equal(f1, mu1) and np.array_equal(f2, mu2)
+        m_col, m_val = _monomial(n, mu1 + n * s1, mu2 + n * s2)
+        d_per = max(d_per, _max_entry((m_val, -sign[:, None] * val), (m_col, col)))
+    dev = {"periodicity": d_per}
 
-    shifts = [
-        (r1, r2)
-        for r1 in range(-shift_range, shift_range + 1)
-        for r2 in range(-shift_range, shift_range + 1)
-    ]
+    trace = lambda col, val: np.sum(np.where(col == rows, val, 0), axis=-1)  # noqa: E731
+    dev["trace_window"] = np.max(np.abs(trace(col, val)))
+    sign = 1 - 2 * ((r1 + r2 + n * r1 * r2) % 2)
+    lattice = trace(*_monomial(n, n * r1, n * r2)) - sign * 1j * n * n / (2.0 * np.pi)
+    dev["trace_lattice"] = np.max(np.abs(lattice))
 
-    d = 0.0
-    for mu in window:
-        base = basis_matrix(n, *mu)
-        for r1, r2 in shifts:
-            m = (mu[0] + n * r1, mu[1] + n * r2)
-            folded, sign = fold_mode(n, *m)
-            assert folded == mu
-            d = max(d, np.max(np.abs(basis_matrix(n, *m) - sign * base)))
-    dev["periodicity"] = d
+    # every L_m with m in [0, 2n - 1)^2, laid out [k, m1 * side + m2]
+    side = 2 * n - 1
+    box = _monomial(n, *np.indices((side, side)))
+    box_col, box_val = (np.moveaxis(a, -1, 0).reshape(n, -1) for a in box)
+    nu1, nu2 = (a.ravel() for a in np.indices((n, n)))
+    nu_col, nu_val = box_col[:, nu1 * side + nu2], box_val[:, nu1 * side + nu2]
+    roots = np.exp(1j * np.pi * np.arange(2 * n) / n)  # omega^j
+    # If every column pattern follows from m2 alone, the products of each pair sit
+    # on the columns of L_{mu+nu} once they do for (mu2, nu2): then compare values.
+    by_m2 = box_col[:, :side]
+    aligned = np.array_equal(box_col, np.tile(by_m2, side))
+    aligned = aligned and np.array_equal(by_m2[by_m2[:, nu1], nu2], by_m2[:, nu1 + nu2])
+    for a, b in window:
+        # (L_mu L_nu)[k, c_nu(c_mu(k))] = v_mu[k] v_nu[c_mu(k)] and the same with mu,
+        # nu swapped, over every nu of [0, n)^2 (nu = 0 adds L_mu L_0 = pref L_mu)
+        c_mu, v_mu = nu_col[:, a * n + b], nu_val[:, a * n + b]
+        at = nu1 * side + nu2 + a * side + b
+        mu_nu, nu_mu = v_mu[:, None] * nu_val[c_mu], nu_val * (-v_mu)[nu_col]
+        total = box_val[:, at]
+        cols = None if aligned else (nu_col[c_mu], box_col[:, at], c_mu[nu_col])
+        phase = pref * roots[(nu1 * b - nu2 * a) % (2 * n)]
+        d_prod = max(d_prod, _max_entry((mu_nu, -phase * total), cols and cols[:2]))
+        f = structure_constant(n, (a, b), (nu1, nu2))
+        d_comm = max(d_comm, _max_entry((mu_nu, -f * total, nu_mu), cols))
+    dev["product"], dev["commutator"] = d_prod, d_comm
 
-    dev["trace_window"] = max(abs(np.trace(basis_matrix(n, *mu))) for mu in window)
-
-    d = 0.0
-    for r1, r2 in shifts:
-        sign = -1.0 if (r1 + r2 + n * r1 * r2) % 2 else 1.0
-        expected = sign * 1j * n * n / (2.0 * np.pi)
-        d = max(d, abs(np.trace(basis_matrix(n, n * r1, n * r2)) - expected))
-    dev["trace_lattice"] = d
-
-    d_prod = 0.0
-    d_comm = 0.0
+    # the adjoint moves each row's entry to the row of its column, conjugated
+    adj_col, adj_val = np.full(col.shape, -1), np.zeros_like(val)
+    np.put_along_axis(adj_col, col, np.broadcast_to(rows, col.shape), axis=-1)
+    np.put_along_axis(adj_val, col, val.conj(), axis=-1)
+    neg_col, neg_val = _monomial(n, -mu1, -mu2)
+    dev["adjoint"] = _max_entry((adj_val, neg_val), (adj_col, neg_col))
     for mu in window:
         lmu = basis_matrix(n, *mu)
-        for nu in window:
-            lnu = basis_matrix(n, *nu)
-            total = basis_matrix(n, mu[0] + nu[0], mu[1] + nu[1])
-            cross = nu[0] * mu[1] - nu[1] * mu[0]
-            phase = np.exp(1j * np.pi * cross / n)
-            d_prod = max(d_prod, np.max(np.abs(lmu @ lnu - pref * phase * total)))
-            comm = lmu @ lnu - lnu @ lmu
-            d_comm = max(
-                d_comm,
-                np.max(np.abs(comm - structure_constant(n, mu, nu) * total)),
-            )
-    dev["product"] = d_prod
-    dev["commutator"] = d_comm
-
-    d_adj = 0.0
-    d_inv = 0.0
-    for mu in window:
-        lmu = basis_matrix(n, *mu)
-        adj = lmu.conj().T
-        d_adj = max(d_adj, np.max(np.abs(adj + basis_matrix(n, -mu[0], -mu[1]))))
-        d_inv = max(
-            d_inv,
-            np.max(np.abs(adj - (n / (2.0 * np.pi)) ** 2 * np.linalg.inv(lmu))),
-        )
-    dev["adjoint"] = d_adj
-    dev["inverse"] = d_inv
-
-    d_det = 0.0
-    d_naive = 0.0
-    for mu in window:
-        det = np.linalg.det(basis_matrix(n, *mu))
-        expect = det_closed_form(n, *mu)
-        naive_sign = -1.0 if (n * (mu[0] + mu[1] + mu[0] * mu[1])) % 2 else 1.0
-        naive = naive_sign * pref**n
+        inverse = (n / (2.0 * np.pi)) ** 2 * np.linalg.inv(lmu)
+        d_inv = max(d_inv, np.max(np.abs(lmu.conj().T - inverse)))
+        det, expect = np.linalg.det(lmu), det_closed_form(n, *mu)
+        naive = (-1.0 if (n * (mu[0] + mu[1] + mu[0] * mu[1])) % 2 else 1.0) * pref**n
         d_det = max(d_det, abs(det - expect) / abs(expect))
         d_naive = max(d_naive, abs(det - naive) / abs(naive))
+    dev["inverse"] = d_inv
     return BasisPropertyReport(
         n=n,
         deviations={k: float(v) for k, v in dev.items()},

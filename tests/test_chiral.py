@@ -57,6 +57,13 @@ def test_coefficient_truncation_matches_brute_force():
     assert abs(coef(z) - brute) < 1e-12
 
 
+def test_coefficient_that_never_converges_raises():
+    # the index never clears |x|, so no truncation point is ever reached
+    coef = BesselCoefficient("stuck", 0.8, 1.0, lambda k: (1.0, 0))
+    with pytest.raises(ValueError, match=r"'stuck'.*x = 0\.8"):
+        coef(1.0)
+
+
 def test_bessel_identity_report():
     rep = bessel_identity_check()
     assert rep.second_dev <= 1e-12

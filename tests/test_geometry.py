@@ -202,3 +202,30 @@ def test_admissible_points_deterministic_and_margined():
         assert math.cos(z * math.cos(q) + p) >= 0.3
         assert -1.0 <= w <= 1.0 and -1.0 <= z <= 1.0
     assert admissible_points(3, seed=5) != admissible_points(3, seed=6)
+
+
+@pytest.mark.parametrize("margin", [1.0, 1.5])
+def test_admissible_points_rejects_unreachable_margin(margin):
+    # cos q >= 1 has probability zero, so such a margin would draw forever
+    with pytest.raises(ValueError, match="margin"):
+        admissible_points(1, margin=margin)
+
+
+def test_weyl_sample_solves_nine_times_and_reports_the_centre_residual(monkeypatch):
+    import startorus.geometry as geometry
+
+    solved = []
+
+    def counted(frame, pt, step=1e-3):
+        solved.append(tuple(pt))
+        return cartan_first(frame, pt, step)
+
+    monkeypatch.setattr(geometry, "cartan_first", counted)
+    pt = POINTS[3]
+    sample = geometry.weyl_sample(pt, step=1e-3)
+    assert len(solved) == 9
+    assert solved.count(tuple(pt)) == 1
+    direct = cartan_first(example_tetrad(), pt, 1e-3)
+    assert sample.structure_residual == direct.solve_residual
+    assert sample.dotted_norm == direct.conn.dotted_defect()
+    assert weyl_sample(pt, extracted=False).structure_residual == 0.0

@@ -12,6 +12,7 @@ from startorus import (
     chi_project,
     chi_project_gridded,
     commutator_defect,
+    fold_mode,
     matched_hbar,
     moyal_bracket,
 )
@@ -122,3 +123,35 @@ def test_gridded_projection_requires_matched_hbar():
 def test_chi_project_rejects_small_n():
     with pytest.raises(ValueError):
         chi_project(FourierField.basis(1, 0), 1)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 32])
+def test_fold_matches_naive_sum_of_basis_matrices(n):
+    rng = np.random.default_rng(n)
+    modes = rng.integers(-3 * n, 3 * n + 1, size=(80, 2))
+    modes[:4] = [[0, 0], [n, 0], [-n, 2 * n], [1, 1]]  # lattice modes fold to zero
+    f = FourierField(modes, rng.normal(size=80) + 1j * rng.normal(size=80))
+    naive = np.zeros((n, n), dtype=complex)
+    for (m1, m2), c in f.items():
+        mu, sign = fold_mode(n, m1, m2)
+        if mu != (0, 0):
+            naive += sign * c * basis_matrix(n, *mu)
+    got = chi_project(f, n)
+    assert np.max(np.abs(got - naive)) <= 1e-12 * np.max(np.abs(naive))
+
+
+def test_gridded_fold_equals_per_node_fold():
+    rng = np.random.default_rng(11)
+    grid = SpacetimeGrid({"w": [0.0, 0.5, 1.0], "z": [0.0, 1.0]})
+    n = 6
+    fields = np.empty(grid.shape, dtype=object)
+    for index in np.ndindex(*grid.shape):
+        size = int(rng.integers(0, 12))
+        modes = rng.integers(-9, 10, size=(size, 2))
+        fields[index] = FourierField(modes, rng.normal(size=size) + 1j * rng.normal(size=size))
+    fields[0, 1] = FourierField.zero()
+    mf = chi_project_gridded(GriddedFourierField(grid, fields, hbar=matched_hbar(n)), n)
+    for index in np.ndindex(*grid.shape):
+        want = chi_project(fields[index], n)
+        assert np.max(np.abs(mf.values[index] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(mf.values[0, 1])) == 0.0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import startorus.sine_basis as sine_basis
 from startorus import (
     basis_matrix,
     clock_matrix,
@@ -64,11 +65,11 @@ def test_clock_and_shift_generators():
 
 
 def test_basis_matrix_against_reference():
-    for n in (2, 3, 4, 5):
-        for m1 in range(-n, n + 1):
-            for m2 in range(-n, n + 1):
+    for n, reach in ((2, 2), (3, 3), (4, 4), (5, 5), (7, 14), (16, 32)):
+        for m1 in range(-reach, reach + 1):
+            for m2 in range(-reach, reach + 1):
                 got = basis_matrix(n, m1, m2)
-                assert np.max(np.abs(got - reference_basis(n, m1, m2))) < 1e-12
+                assert np.max(np.abs(got - reference_basis(n, m1, m2))) < 1e-12, (n, m1, m2)
 
 
 def test_basis_matrices_are_read_only():
@@ -204,3 +205,73 @@ def test_matrix_json_round_trip():
         matrix_to_json(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         matrix_from_json('{"n": 2, "re": [[1.0]], "im": [[0.0]]}')
+
+
+def dense_report(n: int) -> dict:
+    """The property deviations from dense matrix products over the window."""
+    pref = 1j * n / (2 * np.pi)
+    window = fundamental_window(n)
+    shifts = [(r1, r2) for r1 in range(-2, 3) for r2 in range(-2, 3)]
+    keys = ("periodicity", "trace_window", "trace_lattice", "product", "commutator")
+    dev = dict.fromkeys(keys + ("adjoint", "inverse"), 0.0)
+
+    def worst(key, value):
+        dev[key] = max(dev[key], float(np.max(np.abs(value))))
+
+    for mu in window:
+        lmu = basis_matrix(n, *mu)
+        for r1, r2 in shifts:
+            _, sign = fold_mode(n, mu[0] + n * r1, mu[1] + n * r2)
+            worst("periodicity", basis_matrix(n, mu[0] + n * r1, mu[1] + n * r2) - sign * lmu)
+        worst("trace_window", np.trace(lmu))
+        for nu in window:
+            lnu = basis_matrix(n, *nu)
+            total = basis_matrix(n, mu[0] + nu[0], mu[1] + nu[1])
+            cross = nu[0] * mu[1] - nu[1] * mu[0]
+            worst("product", lmu @ lnu - pref * np.exp(1j * np.pi * cross / n) * total)
+            worst("commutator", lmu @ lnu - lnu @ lmu - structure_constant(n, mu, nu) * total)
+        worst("adjoint", lmu.conj().T + basis_matrix(n, -mu[0], -mu[1]))
+        worst("inverse", lmu.conj().T - (n / (2 * np.pi)) ** 2 * np.linalg.inv(lmu))
+    for r1, r2 in shifts:
+        sign = -1.0 if (r1 + r2 + n * r1 * r2) % 2 else 1.0
+        lattice = np.trace(basis_matrix(n, n * r1, n * r2))
+        worst("trace_lattice", lattice - sign * 1j * n * n / (2 * np.pi))
+    return dev
+
+
+def plant(monkeypatch, mu, defect):
+    """Spoil row 0 of L_mu alone: one phase, or its column swapped with row 1's."""
+    monomial = sine_basis._monomial
+
+    def planted(n, m1, m2):
+        col, val = monomial(n, m1, m2)
+        hit = (np.asarray(m1)[..., None] == mu[0]) & (np.asarray(m2)[..., None] == mu[1])
+        row0 = hit & (np.arange(n) == 0)
+        if defect == "phase":
+            return col, np.where(row0, val * np.exp(1j * np.pi / n), val)
+        row1 = hit & (np.arange(n) == 1)
+        swapped = np.where(row0, col[..., 1:2], np.where(row1, col[..., 0:1], col))
+        return swapped, val
+
+    monkeypatch.setattr(sine_basis, "_monomial", planted)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("defect", [None, "phase", "column"])
+def test_monomial_checks_agree_with_dense_products(monkeypatch, n, defect):
+    if defect:
+        plant(monkeypatch, (1, 1), defect)
+    report = verify_basis_properties(n)
+    dense = dense_report(n)
+    for key, want in dense.items():
+        assert report.deviations[key] == pytest.approx(want, rel=1e-9, abs=1e-13), key
+
+
+@pytest.mark.parametrize("defect", ["phase", "column"])
+def test_planted_defect_fails_the_report(monkeypatch, defect):
+    plant(monkeypatch, (2, 3), defect)
+    report = verify_basis_properties(5)
+    assert report.passed is False
+    assert report.deviations["product"] > 0.1
+    assert report.deviations["commutator"] > 0.1
+    assert report.to_dict()["passed"] is False
