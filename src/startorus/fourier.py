@@ -93,6 +93,13 @@ class FourierField:
         coeffs = np.array(list(table.values()), dtype=np.complex128)
         return cls(modes, coeffs, prune)
 
+    @classmethod
+    def from_window(cls, window, prune: float = DEFAULT_PRUNE) -> "FourierField":
+        """Field of a (2R+1, 2R+1) coefficient window, window[R+m1, R+m2] = c_m."""
+        side = np.shape(window)[-1]
+        modes = np.indices((side, side)).reshape(2, -1).T - (side - 1) // 2
+        return cls(modes, np.ravel(window), prune)
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -167,6 +174,14 @@ class FourierField:
         if axis not in (0, 1):
             raise ValueError("axis must be 0 or 1")
         return FourierField(self.modes, self.coeffs * (1j * self.modes[:, axis]))
+
+    def window(self, band_limit: int) -> np.ndarray:
+        """Dense (2R+1, 2R+1) coefficients with [R+m1, R+m2] = c_m, R = band_limit."""
+        if self.band_limit > band_limit:
+            raise ValueError(f"stored mode outside band_limit {band_limit}")
+        out = np.zeros((2 * band_limit + 1, 2 * band_limit + 1), dtype=np.complex128)
+        out[self.modes[:, 0] + band_limit, self.modes[:, 1] + band_limit] = self.coeffs
+        return out
 
     def restrict(self, band_limit: int) -> "FourierField":
         keep = np.all(np.abs(self.modes) <= band_limit, axis=1)
@@ -299,28 +314,27 @@ def sample_on_grid(f: FourierField, n: int) -> np.ndarray:
     return np.fft.ifft2(spect) * n * n
 
 
-def fft_project(
-    samples: np.ndarray, band_limit: int, prune: float = DEFAULT_PRUNE
-) -> FourierField:
-    """Project grid samples onto modes with |m1|, |m2| <= band_limit.
-
-    samples[j, k] holds the value at (p_j, q_k) = (2 pi j / n1, 2 pi k / n2).
-    Both grid dimensions must be at least 2*band_limit + 2; smaller grids
-    cannot separate the requested band from its aliases.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 2:
-        raise ValueError("samples must be a 2d array")
-    n1, n2 = samples.shape
+def _fft_window(samples: np.ndarray, band_limit: int) -> np.ndarray:
+    """Coefficients c_m at [..., R + m1, R + m2], |m1|, |m2| <= R = band_limit,
+    of samples[..., j, k] taken at (p_j, q_k) = (2 pi j / n1, 2 pi k / n2).
+    Both n1 and n2 must be at least 2R + 2 to separate the band from its aliases."""
+    n1, n2 = samples.shape[-2:]
     need = 2 * band_limit + 2
     if n1 < need or n2 < need:
         raise ValueError(
-            f"grid {samples.shape} too small for band_limit {band_limit}; "
+            f"grid {samples.shape[-2:]} too small for band_limit {band_limit}; "
             f"need at least {need} points per axis"
         )
-    spect = np.fft.fft2(samples) / (n1 * n2)
     rng = np.arange(-band_limit, band_limit + 1)
-    m1g, m2g = np.meshgrid(rng, rng, indexing="ij")
-    coeffs = spect[m1g % n1, m2g % n2]
-    modes = np.stack([m1g.ravel(), m2g.ravel()], axis=1)
-    return FourierField(modes, coeffs.ravel(), prune)
+    spect = np.fft.fft2(samples)
+    return spect[..., (rng % n1)[:, None], (rng % n2)[None, :]] / (n1 * n2)
+
+
+def fft_project(
+    samples: np.ndarray, band_limit: int, prune: float = DEFAULT_PRUNE
+) -> FourierField:
+    """Project 2d grid samples onto modes with |m1|, |m2| <= band_limit (`_fft_window`)."""
+    samples = np.asarray(samples)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a 2d array")
+    return FourierField.from_window(_fft_window(samples, band_limit), prune)

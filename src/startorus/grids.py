@@ -1,4 +1,8 @@
-"""Uniform spacetime grids whose nodes carry torus-mode fields."""
+"""Uniform spacetime grids whose nodes carry torus-mode fields.
+
+A gridded mode field is one dense complex tensor: the grid axes first,
+then a (2R + 1, 2R + 1) window of mode coefficients c_m at [R + m1, R + m2].
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .fourier import DEFAULT_PRUNE, FourierField, fft_project
+from .fourier import DEFAULT_PRUNE, FourierField, _fft_window
 
 __all__ = ["SpacetimeGrid", "GriddedFourierField", "torus_nodes"]
 
@@ -84,33 +88,34 @@ class SpacetimeGrid:
         return f"SpacetimeGrid({parts})"
 
 
-class GriddedFourierField:
-    """A FourierField at every node of a SpacetimeGrid.
+# torus samples per batched FFT in GriddedFourierField.sample (16 MB)
+_SAMPLE_BATCH = 1 << 20
 
-    All node fields are declared to share one projection band limit; the
-    sparse per-node tables may store fewer modes when coefficients vanish.
+
+class GriddedFourierField:
+    """Band-limited mode fields on a SpacetimeGrid, held as one complex tensor.
+
+    values has shape grid.shape + (2R + 1, 2R + 1), values[..., R + m1, R + m2]
+    = c_m, and R is read from it.  Grid derivatives are slices of the leading
+    axes (`numerics.grid_diff`); `node` gives one node as a sparse FourierField.
     """
 
-    __slots__ = ("grid", "values", "hbar", "band_limit")
+    __slots__ = ("grid", "values", "hbar")
 
-    def __init__(self, grid: SpacetimeGrid, values, hbar: float, band_limit=None):
-        values = np.asarray(values, dtype=object)
-        if values.shape != grid.shape:
-            raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
+    def __init__(self, grid: SpacetimeGrid, values, hbar: float):
+        values = np.asarray(values, dtype=np.complex128)
+        side = values.shape[-1] if values.ndim > grid.ndim else 0
+        if values.shape != grid.shape + (side, side) or side % 2 == 0:
+            raise ValueError(f"values shape {values.shape} is not {grid.shape} + (2R+1, 2R+1)")
         if hbar < 0:
             raise ValueError("hbar must be >= 0")
-        if band_limit is None:
-            band_limit = max((f.band_limit for f in values.flat), default=0)
-        else:
-            worst = max((f.band_limit for f in values.flat), default=0)
-            if worst > band_limit:
-                raise ValueError(
-                    f"stored mode outside declared band_limit {band_limit}"
-                )
         self.grid = grid
         self.values = values
         self.hbar = float(hbar)
-        self.band_limit = int(band_limit)
+
+    @property
+    def band_limit(self) -> int:
+        return (self.values.shape[-1] - 1) // 2
 
     @classmethod
     def sample(
@@ -120,29 +125,37 @@ class GriddedFourierField:
         band_limit: int,
         hbar: float,
         torus_n: int = 128,
-        prune: float = DEFAULT_PRUNE,
     ) -> "GriddedFourierField":
         """Project evaluator(point, P, Q) onto modes at every grid node.
 
         evaluator receives the node coordinates as a tuple plus torus
-        meshgrids P, Q and must return the sampled values.
+        meshgrids P, Q and must return the sampled values.  Batched FFTs take
+        at most _SAMPLE_BATCH samples; |c| <= DEFAULT_PRUNE is zeroed, as in
+        `fft_project`.
         """
         P, Q = torus_nodes(torus_n)
-        values = np.empty(grid.shape, dtype=object)
-        for index in np.ndindex(*grid.shape):
-            pt = grid.point(index)
-            values[index] = fft_project(
-                np.asarray(evaluator(pt, P, Q), dtype=np.complex128),
-                band_limit,
-                prune,
-            )
-        return cls(grid, values, hbar, band_limit)
+        nodes = list(np.ndindex(*grid.shape))
+        batch = max(1, _SAMPLE_BATCH // P.size)
+
+        def project(start):
+            samples = [evaluator(grid.point(index), P, Q) for index in nodes[start : start + batch]]
+            return _fft_window(np.array(samples, dtype=np.complex128), band_limit)
+
+        values = np.concatenate([project(start) for start in range(0, len(nodes), batch)])
+        values[np.abs(values) <= DEFAULT_PRUNE] = 0.0
+        return cls(grid, values.reshape(grid.shape + values.shape[1:]), hbar)
+
+    def node(self, index: tuple) -> FourierField:
+        """The mode field at one grid node."""
+        return FourierField.from_window(self.values[index])
 
     def map_values(self, fn: Callable[[FourierField], FourierField]):
-        out = np.empty(self.values.shape, dtype=object)
-        for index in np.ndindex(*self.values.shape):
-            out[index] = fn(self.values[index])
-        return GriddedFourierField(self.grid, out, self.hbar, None)
+        """Apply fn node by node; the band limit becomes the widest result's."""
+        fields = [fn(self.node(index)) for index in np.ndindex(*self.grid.shape)]
+        band = max(f.band_limit for f in fields)
+        windows = np.array([f.window(band) for f in fields])
+        shape = self.grid.shape + windows.shape[1:]
+        return GriddedFourierField(self.grid, windows.reshape(shape), self.hbar)
 
     def __repr__(self) -> str:
         return (

@@ -31,14 +31,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import (
-    DEFAULT_PRUNE,
     FourierField,
     fft_project,
     moyal_bracket,
     poisson_bracket,
 )
 from .grids import GriddedFourierField, SpacetimeGrid, torus_nodes
-from .numerics import SingularMetricError, cross_diff
+from .numerics import SingularMetricError, checked_grid, cross_diff
+from .numerics import grid_cross_diff, grid_diff, grid_diff2
 
 __all__ = [
     "freq_factor",
@@ -112,13 +112,12 @@ class ClosedFormSolution:
         main = -2.0 * np.sin(0.5 * z * safe + p) * np.sin(0.5 * z * safe) / safe
 
         # -int_0^z sin(zeta * s cq + p) dzeta on the singular set
-        half = 0.5 * z
-        zeta = half[..., None] * (_GL_NODES + 1.0)
-        quad = -np.sum(
-            _GL_WEIGHTS * np.sin(zeta * scq[..., None] + p[..., None]), axis=-1
+        term = np.asarray(main)  # 0-d inputs leave a numpy scalar in main
+        half = 0.5 * z[singular]
+        zeta = half[:, None] * (_GL_NODES + 1.0)
+        term[singular] = -np.sum(
+            _GL_WEIGHTS * np.sin(zeta * scq[singular][:, None] + p[singular][:, None]), axis=-1
         ) * half
-
-        term = np.where(singular, quad, main)
         out = 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) + term
         return out if out.shape else float(out)
 
@@ -129,20 +128,12 @@ class ClosedFormSolution:
         return fft_project(np.asarray(samples, dtype=np.complex128), band_limit)
 
     def gridded(
-        self,
-        grid: SpacetimeGrid,
-        band_limit: int,
-        torus_n: int = 128,
-        prune: float = DEFAULT_PRUNE,
+        self, grid: SpacetimeGrid, band_limit: int, torus_n: int = 128
     ) -> GriddedFourierField:
-        if grid.names != ("w", "z"):
-            raise ValueError("expected a grid with axes ('w', 'z')")
-
-        def evaluator(point, pp, qq):
-            return self.evaluate(point[0], point[1], pp, qq)
+        checked_grid(grid, ("w", "z"), nodes=2)
 
         return GriddedFourierField.sample(
-            grid, evaluator, band_limit, self.hbar, torus_n=torus_n, prune=prune
+            grid, lambda pt, P, Q: self.evaluate(pt[0], pt[1], P, Q), band_limit, self.hbar, torus_n
         )
 
 
@@ -329,6 +320,22 @@ def _report(per_point: np.ndarray, steps: dict, hbar: float, label: str) -> Resi
     )
 
 
+def _bracket_residual(field, label, linear, left, right, weight=1.0) -> ResidualReport:
+    """Per-node l2 norm of linear + weight {left, right}_hbar, all three band-R
+    mode tensors on the interior nodes and weight a scalar or per node.  The
+    bracket is taken node by node on sparse fields; it fills the band-2R window."""
+    band = (linear.shape[-1] - 1) // 2
+    inner = slice(band, 3 * band + 1)
+    weight = np.broadcast_to(weight, linear.shape[:-2])
+    per = np.zeros(weight.shape)
+    for idx in np.ndindex(per.shape):
+        f, g = (FourierField.from_window(t[idx]) for t in (left, right))
+        res = weight[idx] * _bracket(f, g, field.hbar).window(2 * band)
+        res[inner, inner] += linear[idx]
+        per[idx] = np.sqrt(np.sum(np.abs(res) ** 2))
+    return _report(per, field.grid.steps, field.hbar, label)
+
+
 def residual_moyal_hp(field: GriddedFourierField) -> ResidualReport:
     """Residual of Theta_ww + Theta_zz + {Theta_w, Theta_z}_hbar on a (w, z) grid.
 
@@ -336,28 +343,15 @@ def residual_moyal_hp(field: GriddedFourierField) -> ResidualReport:
     centered 2-point one; hbar = 0 falls back to the Poisson bracket.
     Per-node magnitude is the mode-space l2 norm.
     """
-    grid = field.grid
-    if grid.names != ("w", "z"):
-        raise ValueError("expected a grid with axes ('w', 'z')")
-    hw = grid.steps["w"]
-    hz = grid.steps["z"]
+    grid = checked_grid(field.grid, ("w", "z"))
     v = field.values
-    nw, nz = v.shape
-    if nw < 3 or nz < 3:
-        raise ValueError("need at least 3 nodes per axis")
-    per = np.zeros((nw - 2, nz - 2))
-    for i in range(1, nw - 1):
-        for j in range(1, nz - 1):
-            d2w = (1.0 / hw**2) * (v[i + 1, j] - 2.0 * v[i, j] + v[i - 1, j])
-            d2z = (1.0 / hz**2) * (v[i, j + 1] - 2.0 * v[i, j] + v[i, j - 1])
-            dw = (0.5 / hw) * (v[i + 1, j] - v[i - 1, j])
-            dz = (0.5 / hz) * (v[i, j + 1] - v[i, j - 1])
-            res = d2w + d2z + _bracket(dw, dz, field.hbar)
-            per[i - 1, j - 1] = res.l2_norm()
-    return _report(per, {"w": hw, "z": hz}, field.hbar, "moyal_hp")
-
-
-_FLAT_AXES = ("w", "z", "wt", "zt")
+    return _bracket_residual(
+        field,
+        "moyal_hp",
+        grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z"),
+        grid_diff(v, grid, "w"),
+        grid_diff(v, grid, "z"),
+    )
 
 
 def residual_me_flat(field: GriddedFourierField) -> ResidualReport:
@@ -365,30 +359,15 @@ def residual_me_flat(field: GriddedFourierField) -> ResidualReport:
 
     The field lives on a 4-axis grid named ('w', 'z', 'wt', 'zt').
     """
-    grid = field.grid
-    if grid.names != _FLAT_AXES:
-        raise ValueError(f"expected axes {_FLAT_AXES}")
-    h = grid.steps
+    grid = checked_grid(field.grid, ("w", "z", "wt", "zt"))
     v = field.values
-    if min(v.shape) < 3:
-        raise ValueError("need at least 3 nodes per axis")
-    inner = tuple(s - 2 for s in v.shape)
-    per = np.zeros(inner)
-    for idx in np.ndindex(inner):
-        i, j, k, l = (a + 1 for a in idx)
-        c_wwt = (0.25 / (h["w"] * h["wt"])) * (
-            v[i + 1, j, k + 1, l] - v[i + 1, j, k - 1, l]
-            - v[i - 1, j, k + 1, l] + v[i - 1, j, k - 1, l]
-        )
-        c_zzt = (0.25 / (h["z"] * h["zt"])) * (
-            v[i, j + 1, k, l + 1] - v[i, j + 1, k, l - 1]
-            - v[i, j - 1, k, l + 1] + v[i, j - 1, k, l - 1]
-        )
-        dw = (0.5 / h["w"]) * (v[i + 1, j, k, l] - v[i - 1, j, k, l])
-        dz = (0.5 / h["z"]) * (v[i, j + 1, k, l] - v[i, j - 1, k, l])
-        res = c_wwt + c_zzt + _bracket(dw, dz, field.hbar)
-        per[idx] = res.l2_norm()
-    return _report(per, dict(h), field.hbar, "me_flat")
+    return _bracket_residual(
+        field,
+        "me_flat",
+        grid_cross_diff(v, grid, "w", "wt") + grid_cross_diff(v, grid, "z", "zt"),
+        grid_diff(v, grid, "w"),
+        grid_diff(v, grid, "z"),
+    )
 
 
 class KahlerBackground:
@@ -432,9 +411,6 @@ class KahlerBackground:
         return m
 
 
-_KAHLER_AXES = ("y", "yt", "z", "zt")
-
-
 def residual_me_kahler(
     field: GriddedFourierField,
     background: KahlerBackground,
@@ -446,66 +422,35 @@ def residual_me_kahler(
     is read at (w, z, wt, zt) with w = (y + yt)/2 and wt = (y - yt)/2.
     A metric block with |det| below det_tol aborts with the grid location.
     """
-    grid = field.grid
-    if grid.names != _KAHLER_AXES:
-        raise ValueError(f"expected axes {_KAHLER_AXES}")
-    h = grid.steps
+    grid = checked_grid(field.grid, ("y", "yt", "z", "zt"))
     v = field.values
-    if min(v.shape) < 3:
-        raise ValueError("need at least 3 nodes per axis")
-    hy, hyt, hz, hzt = h["y"], h["yt"], h["z"], h["zt"]
-    inner = tuple(s - 2 for s in v.shape)
-    per = np.zeros(inner)
+    inner = tuple(s - 2 for s in grid.shape)
+    metric = np.empty(inner + (2, 2))
+    vol = np.empty(inner)
     for idx in np.ndindex(inner):
-        i, j, k, l = (a + 1 for a in idx)
-        y, yt, z, zt = grid.point((i, j, k, l))
+        y, yt, z, zt = grid.point(tuple(a + 1 for a in idx))
         w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
-        m = background.metric(w_pt)
-        det = float(np.linalg.det(m))
+        metric[idx] = background.metric(w_pt)
+        det = float(np.linalg.det(metric[idx]))
         if abs(det) < det_tol:
-            raise SingularMetricError(
-                f"metric block degenerate (det={det!r})", location=w_pt
-            )
-        ginv = np.linalg.inv(m)
-        g_wtw, g_wtz = ginv[0, 0], ginv[0, 1]
-        g_ztw, g_ztz = ginv[1, 0], ginv[1, 1]
-        vol = float(background.volume(w_pt))
+            raise SingularMetricError(f"metric block degenerate (det={det!r})", location=w_pt)
+        vol[idx] = background.volume(w_pt)
+    ginv = np.moveaxis(np.linalg.inv(metric), (-2, -1), (0, 1))[..., None, None]
+    (g_wtw, g_wtz), (g_ztw, g_ztz) = ginv  # per node, broadcast over the mode window
 
-        d2y = (1.0 / hy**2) * (v[i + 1, j, k, l] - 2.0 * v[i, j, k, l] + v[i - 1, j, k, l])
-        d2yt = (1.0 / hyt**2) * (v[i, j + 1, k, l] - 2.0 * v[i, j, k, l] + v[i, j - 1, k, l])
-        c_zzt = (0.25 / (hz * hzt)) * (
-            v[i, j, k + 1, l + 1] - v[i, j, k + 1, l - 1]
-            - v[i, j, k - 1, l + 1] + v[i, j, k - 1, l - 1]
-        )
-        c_yzt = (0.25 / (hy * hzt)) * (
-            v[i + 1, j, k, l + 1] - v[i + 1, j, k, l - 1]
-            - v[i - 1, j, k, l + 1] + v[i - 1, j, k, l - 1]
-        )
-        c_ytzt = (0.25 / (hyt * hzt)) * (
-            v[i, j + 1, k, l + 1] - v[i, j + 1, k, l - 1]
-            - v[i, j - 1, k, l + 1] + v[i, j - 1, k, l - 1]
-        )
-        c_yz = (0.25 / (hy * hz)) * (
-            v[i + 1, j, k + 1, l] - v[i + 1, j, k - 1, l]
-            - v[i - 1, j, k + 1, l] + v[i - 1, j, k - 1, l]
-        )
-        c_ytz = (0.25 / (hyt * hz)) * (
-            v[i, j + 1, k + 1, l] - v[i, j + 1, k - 1, l]
-            - v[i, j - 1, k + 1, l] + v[i, j - 1, k - 1, l]
-        )
-        dy = (0.5 / hy) * (v[i + 1, j, k, l] - v[i - 1, j, k, l])
-        dyt = (0.5 / hyt) * (v[i, j + 1, k, l] - v[i, j - 1, k, l])
-        dz = (0.5 / hz) * (v[i, j, k + 1, l] - v[i, j, k - 1, l])
+    def cross(a, b):
+        return grid_cross_diff(v, grid, a, b)
 
-        linear = (1.0 / g_wtw) * (
-            g_ztz * c_zzt
-            + g_ztw * (c_yzt + c_ytzt)
-            + g_wtz * (c_yz - c_ytz)
-        )
-        res = (
-            d2y - d2yt
-            + linear
-            + (1.0 / (vol * g_wtw)) * _bracket(dy + dyt, dz, field.hbar)
-        )
-        per[idx] = res.l2_norm()
-    return _report(per, dict(h), field.hbar, "me_kahler")
+    linear = (grid_diff2(v, grid, "y") - grid_diff2(v, grid, "yt")) + (1.0 / g_wtw) * (
+        g_ztz * cross("z", "zt")
+        + g_ztw * (cross("y", "zt") + cross("yt", "zt"))
+        + g_wtz * (cross("y", "z") - cross("yt", "z"))
+    )
+    return _bracket_residual(
+        field,
+        "me_kahler",
+        linear,
+        grid_diff(v, grid, "y") + grid_diff(v, grid, "yt"),
+        grid_diff(v, grid, "z"),
+        1.0 / (vol * g_wtw[..., 0, 0]),
+    )

@@ -34,18 +34,17 @@ def matched_hbar(n: int) -> float:
     return 2.0 * np.pi / n
 
 
-def _fold(fields, n: int) -> np.ndarray:
-    """chi_n of each field: bin the signed coefficients into an n x n window,
-    drop (0, 0), and sum over mu1 the window's monomial values, whose column
-    follows from mu2 alone."""
+def _fold(node, modes, coeffs, count: int, n: int) -> np.ndarray:
+    """chi_n of `count` fields given as flat rows (node, mode, coefficient):
+    bin the signed coefficients into each node's n x n window, drop (0, 0),
+    and sum over mu1 the window's monomial values, whose column follows
+    from mu2 alone."""
     col, val = _monomial(n, *np.indices((n, n)))
-    node = np.repeat(np.arange(len(fields)), [f.size for f in fields])
-    modes = np.concatenate([f.modes for f in fields])
     (mu1, mu2), sign = fold_mode(n, modes[:, 0], modes[:, 1])
-    window = np.zeros((len(fields), n, n), dtype=np.complex128)
-    np.add.at(window, (node, mu1, mu2), sign * np.concatenate([f.coeffs for f in fields]))
+    window = np.zeros((count, n, n), dtype=np.complex128)
+    np.add.at(window, (node, mu1, mu2), sign * coeffs)
     window[:, 0, 0] = 0.0
-    out = np.zeros((len(fields), n, n), dtype=np.complex128)
+    out = np.zeros((count, n, n), dtype=np.complex128)
     out[:, np.arange(n), col[0]] = np.einsum("zab,abk->zbk", window, val)
     return out
 
@@ -56,7 +55,7 @@ def chi_project(field: FourierField, n: int) -> np.ndarray:
     Modes congruent to (0, 0) mod n are annihilated; every other mode m
     lands on its window representative with the periodicity sign.
     """
-    return _fold([field], n)[0]
+    return _fold(np.zeros(field.size, dtype=np.int64), field.modes, field.coeffs, 1, n)[0]
 
 
 @dataclass
@@ -99,7 +98,11 @@ def chi_project_gridded(field: GriddedFourierField, n: int, hbar_tol: float = 1e
         raise ValueError(
             f"gridded field carries hbar={field.hbar!r}, expected 2*pi/{n}={target!r}"
         )
-    out = _fold(field.values.reshape(-1), n)
+    side = field.values.shape[-1]
+    modes = np.indices((side, side)).reshape(2, -1).T - field.band_limit
+    coeffs = field.values.reshape(-1, side * side)
+    node, k = np.nonzero(coeffs)
+    out = _fold(node, modes[k], coeffs[node, k], len(coeffs), n)
     return MatrixField(field.grid, out.reshape(field.grid.shape + (n, n)), n)
 
 

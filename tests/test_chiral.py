@@ -1,9 +1,14 @@
 """Finite-rank chiral fields, their large-rank limit, and Bessel machinery."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import jv
 
+import startorus
 from startorus import (
     MatrixField,
     SpacetimeGrid,
@@ -36,6 +41,26 @@ def test_bessel_integral_basic():
         assert abs(bessel_integral(1, x) - (1.0 - jv(0, x))) < 1e-12
     # odd in x at even order zero
     assert abs(bessel_integral(0, -1.3) + bessel_integral(0, 1.3)) < 1e-12
+
+
+def test_bessel_integral_series_matches_quadrature():
+    # adaptive quadrature of J_ell stays in the tests as the independent oracle
+    from scipy.integrate import quad
+
+    for ell in (0, 1, 2, 5, 13, 40):
+        for x in (1e-3, 0.4, 1.7, 6.0, 19.5, -2.3):
+            want, _ = quad(lambda t: jv(ell, t), 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=400)
+            assert abs(bessel_integral(ell, x) - want) <= 2e-15 * max(1.0, abs(want)), (ell, x)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, startorus; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(startorus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_i_bound_really_bounds():

@@ -1,12 +1,14 @@
 """Command line behavior: payloads, precedence, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import startorus
 from startorus import SingularMetricError, basis_matrix
 from startorus.cli import ContractViolation, main
 from startorus.sine_basis import matrix_from_json
@@ -264,6 +266,8 @@ def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "startorus.cli", "basis", "--n", "2"],
         capture_output=True, text=True, timeout=120,
+        # the child finds the package where this process did, installed or not
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(startorus.__file__))),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

@@ -1,9 +1,10 @@
-"""Grid container validation and node-wise projection."""
+"""Grid container validation, the dense mode tensor, and batched projection."""
 
 import numpy as np
 import pytest
 
-from startorus import FourierField, GriddedFourierField, SpacetimeGrid
+from startorus import FourierField, GriddedFourierField, SpacetimeGrid, fft_project
+from startorus import grids
 from startorus.grids import torus_nodes
 
 
@@ -51,17 +52,35 @@ def test_refined_halves_the_step():
     assert grid.refined(4).shape == (9,)
 
 
+def dense(grid, fields, band):
+    """Mode tensor grid.shape + (2 band + 1,) * 2 of per-node sparse fields."""
+    return np.stack([f.window(band) for f in fields]).reshape(
+        grid.shape + (2 * band + 1, 2 * band + 1)
+    )
+
+
 def test_gridded_field_shape_and_band_checks():
     grid = SpacetimeGrid({"w": [0.0, 1.0]})
-    fields = np.array([FourierField.basis(1, 0), FourierField.basis(0, 2)], dtype=object)
-    gf = GriddedFourierField(grid, fields, hbar=0.5)
+    fields = [FourierField.basis(1, 0), FourierField.basis(0, 2)]
+    values = dense(grid, fields, 2)
+    gf = GriddedFourierField(grid, values, hbar=0.5)
     assert gf.band_limit == 2
+    assert gf.values.shape == (2, 5, 5) and gf.values.dtype == np.complex128
+    assert gf.values[0, 2 + 1, 2 + 0] == 1.0 and gf.values[1, 2 + 0, 2 + 2] == 1.0
+    for i, f in enumerate(fields):
+        assert gf.node((i,)).to_dict() == f.to_dict()
     with pytest.raises(ValueError):
-        GriddedFourierField(grid, fields, hbar=0.5, band_limit=1)
+        FourierField.basis(0, 2).window(1)  # mode outside the window
     with pytest.raises(ValueError):
-        GriddedFourierField(grid, fields[:1], hbar=0.5)
+        GriddedFourierField(grid, values[:1], hbar=0.5)
     with pytest.raises(ValueError):
-        GriddedFourierField(grid, fields, hbar=-0.1)
+        GriddedFourierField(grid, values, hbar=-0.1)
+    with pytest.raises(ValueError):
+        GriddedFourierField(grid, np.zeros((2, 4, 4)), hbar=0.5)  # even window
+    with pytest.raises(ValueError):
+        GriddedFourierField(grid, np.zeros((2, 5, 3)), hbar=0.5)  # not square
+    with pytest.raises(ValueError):
+        GriddedFourierField(grid, np.zeros((2, 5)), hbar=0.5)  # no mode axes
 
 
 def test_sample_projects_each_node():
@@ -73,18 +92,42 @@ def test_sample_projects_each_node():
 
     gf = GriddedFourierField.sample(grid, evaluator, band_limit=3, hbar=0.3, torus_n=16)
     assert gf.grid.shape == (3,)
+    assert gf.values.shape == (3, 7, 7)
     for i, w in enumerate([0.0, 1.0, 2.0]):
-        node = gf.values[i]
+        node = gf.node((i,))
         assert abs(node.coeff(1, 0) - w) < 1e-13
         assert abs(node.coeff(0, -2) - 1.0) < 1e-13
         assert node.size <= 2
 
 
+@pytest.mark.parametrize("batch", [None, 3 * 20 * 20])
+def test_sample_equals_per_node_fft_project(batch, monkeypatch):
+    if batch is not None:  # three nodes per FFT batch, so batches end mid-row
+        monkeypatch.setattr(grids, "_SAMPLE_BATCH", batch)
+    grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
+    P, Q = torus_nodes(20)
+
+    def evaluator(point, P, Q):
+        a, b = point
+        return np.exp(np.cos(P + a) + 1j * b * np.sin(2 * Q)) + 1e-16 * np.cos(Q)
+
+    gf = GriddedFourierField.sample(grid, evaluator, band_limit=6, hbar=0.2, torus_n=20)
+    for index in np.ndindex(*grid.shape):
+        want = fft_project(np.asarray(evaluator(grid.point(index), P, Q)), 6)
+        got = gf.node(index)
+        assert np.array_equal(got.modes, want.modes)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(gf.values[index], want.window(6))
+
+
 def test_map_values_recomputes_band():
     grid = SpacetimeGrid({"w": [0.0, 1.0]})
-    fields = np.array([FourierField.basis(3, 0), FourierField.basis(1, 1)], dtype=object)
-    gf = GriddedFourierField(grid, fields, hbar=0.1)
+    gf = GriddedFourierField(
+        grid, dense(grid, [FourierField.basis(3, 0), FourierField.basis(1, 1)], 3), hbar=0.1
+    )
     cut = gf.map_values(lambda f: f.restrict(1))
     assert cut.band_limit == 1
-    assert cut.values[0].size == 0
-    assert cut.values[1].coeff(1, 1) == 1.0
+    assert cut.values.shape == (2, 3, 3)
+    assert cut.node((0,)).size == 0
+    assert cut.node((1,)).coeff(1, 1) == 1.0
+    assert cut.hbar == 0.1

@@ -15,6 +15,8 @@ from startorus import (
     example_solution,
     freq_factor,
     kowalewska_series,
+    moyal_bracket,
+    poisson_bracket,
     residual_me_flat,
     residual_me_kahler,
     residual_moyal_hp,
@@ -89,6 +91,41 @@ def test_evaluate_exactly_on_the_singular_line():
         # float cos(pi/2) ~ 6e-17 sits inside the quadrature branch
         want = 0.5 * np.pi * np.cos(p + q) - w + (-z * np.sin(p))
         assert abs(sol.evaluate(w, z, p, q) - want) < 1e-12
+
+
+def all_node_evaluate(sol, w, z, p, q):
+    """The closed form with the quadrature run at every node, then masked."""
+    w, z, p, q = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (w, z, p, q)))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    scq = sol.s * np.cos(q)
+    singular = np.abs(np.cos(q)) < 1e-6
+    safe = np.where(singular, 1.0, scq)
+    main = -2.0 * np.sin(0.5 * z * safe + p) * np.sin(0.5 * z * safe) / safe
+    half = 0.5 * z
+    zeta = half[..., None] * (nodes + 1.0)
+    quad = -np.sum(weights * np.sin(zeta * scq[..., None] + p[..., None]), axis=-1) * half
+    return 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) + np.where(singular, quad, main)
+
+
+def test_evaluate_runs_quadrature_only_where_used():
+    from startorus import torus_nodes
+
+    P, Q = torus_nodes(128)
+    Q[:, 7] = np.pi / 2  # forced singular columns on both branches
+    Q[:, 40] = 1.5 * np.pi + 3e-7
+    for hbar in (0.0, 2 * np.pi / 5):
+        sol = example_solution(hbar)
+        for w, z in ((0.1, 0.3), (-0.3, 0.9)):
+            got = sol.evaluate(w, z, P, Q)
+            assert np.array_equal(got, all_node_evaluate(sol, w, z, P, Q))
+        for q in (np.pi / 2, 0.4):
+            got = sol.evaluate(0.2, 0.5, 1.1, q)
+            assert isinstance(got, float)
+            assert np.array_equal(got, all_node_evaluate(sol, 0.2, 0.5, 1.1, q))
+        assert np.array_equal(
+            sol.evaluate(np.array(0.2), 0.5, 1.1, np.pi / 2),
+            all_node_evaluate(sol, 0.2, 0.5, 1.1, np.pi / 2),
+        )
 
 
 def test_evaluate_broadcasts_and_is_real():
@@ -225,6 +262,43 @@ def test_hp_residual_second_order(hbar):
     assert rep_c.steps["z"] == 0.1
 
 
+def per_node_bracket(f, g, hbar):
+    return poisson_bracket(f, g) if hbar == 0 else moyal_bracket(f, g, hbar)
+
+
+def per_node_moyal_hp(field):
+    """Per-node residuals by the node loop over sparse fields, kept as the
+    reference, and the largest l2 norm of the terms that cancel in them."""
+    hw, hz = field.grid.steps["w"], field.grid.steps["z"]
+    nw, nz = field.grid.shape
+    v = {index: field.node(index) for index in np.ndindex(nw, nz)}
+    per = np.zeros((nw - 2, nz - 2))
+    scale = 0.0
+    for i in range(1, nw - 1):
+        for j in range(1, nz - 1):
+            d2w = (1.0 / hw**2) * (v[i + 1, j] - 2.0 * v[i, j] + v[i - 1, j])
+            d2z = (1.0 / hz**2) * (v[i, j + 1] - 2.0 * v[i, j] + v[i, j - 1])
+            dw = (0.5 / hw) * (v[i + 1, j] - v[i - 1, j])
+            dz = (0.5 / hz) * (v[i, j + 1] - v[i, j - 1])
+            res = d2w + d2z + per_node_bracket(dw, dz, field.hbar)
+            per[i - 1, j - 1] = res.l2_norm()
+            scale = max(scale, d2w.l2_norm() + d2z.l2_norm())
+    return per, scale
+
+
+@pytest.mark.parametrize("hbar", [2 * np.pi / 5, 0.0])
+def test_hp_residual_equals_per_node_reference(hbar):
+    sol = example_solution(hbar)
+    grid = SpacetimeGrid({"w": np.linspace(-0.3, 0.3, 4), "z": np.arange(0.1, 0.5001, 0.1)})
+    field = sol.gridded(grid, band_limit=12, torus_n=32)
+    got = residual_moyal_hp(field).per_point
+    want, scale = per_node_moyal_hp(field)
+    # the reference prunes |c| <= 1e-15 after every sparse operation and the
+    # tensor path does not, so they agree to round-off of the cancelling terms
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+
+
 def test_hp_residual_flags_a_non_solution():
     # adding 0.1 z^2 sin p leaves a residual that refinement cannot remove
     hbar = 2 * np.pi / 5
@@ -357,6 +431,78 @@ def test_kahler_background_construction():
     assert flat.volume((0, 0, 0, 0)) == 1.0
     with pytest.raises(ValueError):
         KahlerBackground()
+
+
+def per_node_kahler(field, background):
+    """Doubled Kahler residual per node over sparse fields, as reference."""
+    grid = field.grid
+    h = [grid.steps[name] for name in grid.names]
+    inner = tuple(s - 2 for s in grid.shape)
+
+    def v(index, *shifts):
+        index = list(index)
+        for axis, step in shifts:
+            index[axis] += step
+        return field.node(tuple(index))
+
+    def d1(i, a):
+        return (0.5 / h[a]) * (v(i, (a, 1)) - v(i, (a, -1)))
+
+    def d2(i, a):
+        return (1.0 / h[a] ** 2) * (v(i, (a, 1)) - 2.0 * v(i) + v(i, (a, -1)))
+
+    def cross(i, a, b):
+        return (0.25 / (h[a] * h[b])) * (
+            v(i, (a, 1), (b, 1)) - v(i, (a, 1), (b, -1))
+            - v(i, (a, -1), (b, 1)) + v(i, (a, -1), (b, -1))
+        )
+
+    per = np.zeros(inner)
+    for idx in np.ndindex(inner):
+        i = tuple(a + 1 for a in idx)
+        y, yt, z, zt = grid.point(i)
+        w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
+        ginv = np.linalg.inv(background.metric(w_pt))
+        vol = background.volume(w_pt)
+        linear = (1.0 / ginv[0, 0]) * (
+            ginv[1, 1] * cross(i, 2, 3)
+            + ginv[1, 0] * (cross(i, 0, 3) + cross(i, 1, 3))
+            + ginv[0, 1] * (cross(i, 0, 2) - cross(i, 1, 2))
+        )
+        bracket = per_node_bracket(d1(i, 0) + d1(i, 1), d1(i, 2), field.hbar)
+        res = d2(i, 0) - d2(i, 1) + linear + (1.0 / (vol * ginv[0, 0])) * bracket
+        per[idx] = res.l2_norm()
+    return per
+
+
+def test_kahler_residual_equals_per_node_reference():
+    hbar = 2 * np.pi / 6
+    sol = example_solution(hbar)
+    grid = SpacetimeGrid(
+        {
+            "y": np.linspace(0.0, 0.2, 3),
+            "yt": np.linspace(-0.1, 0.1, 4),
+            "z": np.linspace(0.2, 0.4, 4),
+            "zt": np.linspace(0.1, 0.3, 3),
+        }
+    )
+
+    def vals(point, P, Q):
+        # not a solution: every pair of axes mixes, so each stencil and each
+        # inverse-metric entry shows in the residual
+        y, yt, z, zt = point
+        mixed = (yt * z + 0.5 * yt * zt + 0.7 * y * zt) * np.cos(P + Q + 0.3)
+        return sol.evaluate(y + 0.4 * yt * z, z + zt + 0.3 * y * zt, P, Q) + mixed
+
+    field = GriddedFourierField.sample(grid, vals, 8, hbar, torus_n=24)
+    background = KahlerBackground(
+        potential=lambda pt: pt[0] * pt[2] + pt[1] * pt[3] + 0.3 * pt[0] * pt[1] * pt[2] * pt[3],
+        volume=lambda pt: 1.0 + 0.5 * pt[1],
+    )
+    got = residual_me_kahler(field, background).per_point
+    want = per_node_kahler(field, background)
+    assert got.shape == (1, 2, 2, 1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 def test_degenerate_metric_aborts_with_location():

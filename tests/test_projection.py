@@ -106,16 +106,16 @@ def test_matrix_field_shape_guard_and_defects():
 
 def test_gridded_projection_requires_matched_hbar():
     grid = SpacetimeGrid({"w": [0.0, 1.0]})
-    fields = np.array(
-        [FourierField.basis(1, 0, 0.5), FourierField.basis(0, 1, 1j)], dtype=object
-    )
+    values = np.zeros((2, 3, 3), dtype=complex)
+    values[0, 1 + 1, 1 + 0] = 0.5
+    values[1, 1 + 0, 1 + 1] = 1j
     n = 4
-    gf = GriddedFourierField(grid, fields, hbar=matched_hbar(n))
+    gf = GriddedFourierField(grid, values, hbar=matched_hbar(n))
     mf = chi_project_gridded(gf, n)
     assert mf.values.shape == (2, 4, 4)
     assert np.max(np.abs(mf.values[0] - 0.5 * basis_matrix(4, 1, 0))) < 1e-14
     assert np.max(np.abs(mf.values[1] - 1j * basis_matrix(4, 0, 1))) < 1e-14
-    off = GriddedFourierField(grid, fields, hbar=0.9)
+    off = GriddedFourierField(grid, values, hbar=0.9)
     with pytest.raises(ValueError):
         chi_project_gridded(off, n)
 
@@ -143,15 +143,17 @@ def test_fold_matches_naive_sum_of_basis_matrices(n):
 def test_gridded_fold_equals_per_node_fold():
     rng = np.random.default_rng(11)
     grid = SpacetimeGrid({"w": [0.0, 0.5, 1.0], "z": [0.0, 1.0]})
-    n = 6
-    fields = np.empty(grid.shape, dtype=object)
+    n, band = 6, 9
+    values = np.zeros(grid.shape + (2 * band + 1, 2 * band + 1), dtype=complex)
     for index in np.ndindex(*grid.shape):
         size = int(rng.integers(0, 12))
-        modes = rng.integers(-9, 10, size=(size, 2))
-        fields[index] = FourierField(modes, rng.normal(size=size) + 1j * rng.normal(size=size))
-    fields[0, 1] = FourierField.zero()
-    mf = chi_project_gridded(GriddedFourierField(grid, fields, hbar=matched_hbar(n)), n)
+        modes = rng.integers(-band, band + 1, size=(size, 2))
+        field = FourierField(modes, rng.normal(size=size) + 1j * rng.normal(size=size))
+        values[index] = field.window(band)
+    values[0, 1] = 0.0
+    gf = GriddedFourierField(grid, values, hbar=matched_hbar(n))
+    mf = chi_project_gridded(gf, n)
     for index in np.ndindex(*grid.shape):
-        want = chi_project(fields[index], n)
+        want = chi_project(gf.node(index), n)
         assert np.max(np.abs(mf.values[index] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(mf.values[0, 1])) == 0.0
