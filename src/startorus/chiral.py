@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def bessel_integral(ell: int, x: float) -> float:
     """I_ell(x) = int_0^x J_ell(t) dt = 2 sum_k J_{ell+2k+1}(x) (DLMF 10.22(i)).
 

@@ -47,11 +47,6 @@ class ContractViolation(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are validation errors, not crashes: exit 1
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # widened matcher lets span values like "-1:1" follow a flag without "="
-        self._negative_number_matcher = re.compile(r"^-\d+[\d.:]*$")
-
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -445,9 +440,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_span_values(argv) -> list:
+    """Rewrite `--flag -1:1` as `--flag=-1:1`: argparse takes a value that
+    starts with "-" and is not a plain number for a flag of its own."""
+    out = []
+    for token in argv:
+        if out and re.match(r"-[\d.]+:", token) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_span_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ContractViolation as exc:

@@ -210,15 +210,11 @@ class FourierField:
         return f"FourierField({self.size} modes, band_limit={self.band_limit})"
 
 
-def _pairwise(
-    f: FourierField, g: FourierField, weight, prune: float, pair_sorted: bool = False
-) -> FourierField:
+def _pairwise(f: FourierField, g: FourierField, weight, prune: float) -> FourierField:
     """Accumulate sum_{m,n} w(m x n) f_m g_n on modes m + n.
 
-    With pair_sorted=True the flattened contributions are ordered by a key
-    that does not change when f and g trade places, so colliding terms merge
-    in the same float order for both operand orders.  An odd weight then
-    gives exact antisymmetry, and the f = g bracket cancels to exactly zero.
+    The outer product of the two coefficient tables is handed to
+    `FourierField`, whose sort-and-merge sums terms that land on the same mode.
     """
     if f.size == 0 or g.size == 0:
         return FourierField.zero()
@@ -227,30 +223,26 @@ def _pairwise(
         - f.modes[:, 1][:, None] * g.modes[:, 0][None, :]
     )
     out_modes = (f.modes[:, None, :] + g.modes[None, :, :]).reshape(-1, 2)
-    if pair_sorted:
-        fm = np.repeat(f.modes, g.size, axis=0)
-        gm = np.tile(g.modes, (f.size, 1))
-        first = (fm[:, 0] < gm[:, 0]) | ((fm[:, 0] == gm[:, 0]) & (fm[:, 1] <= gm[:, 1]))
-        lo = np.where(first[:, None], fm, gm)
-        hi = np.where(first[:, None], gm, fm)
-        # multiply in (lo, hi) operand order: complex multiplication is not
-        # bit-commutative under FMA, so a fixed order keeps swap symmetry
-        cf = np.repeat(f.coeffs, g.size)
-        cg = np.tile(g.coeffs, f.size)
-        vals = np.where(first, cf, cg) * np.where(first, cg, cf) * weight(cross).reshape(-1)
-        order = np.lexsort((np.abs(vals), hi[:, 1], hi[:, 0], lo[:, 1], lo[:, 0]))
-        out_modes = out_modes[order]
-        vals = vals[order]
-    else:
-        vals = (f.coeffs[:, None] * g.coeffs[None, :] * weight(cross)).reshape(-1)
+    vals = (f.coeffs[:, None] * g.coeffs[None, :] * weight(cross)).reshape(-1)
     return FourierField(out_modes, vals, prune)
 
 
-def _same_field(f: FourierField, g: FourierField) -> bool:
-    return (
-        f.size == g.size
-        and np.array_equal(f.modes, g.modes)
-        and np.array_equal(f.coeffs, g.coeffs)
+def _antisymmetrized(f: FourierField, g: FourierField, weight, prune: float) -> FourierField:
+    """Bracket with an odd weight as (P(f, g) - P(g, f)) / 2, P = `_pairwise`.
+
+    P(f, g) and P(g, f) agree with the bracket and its negative only up to
+    rounding, because their colliding terms merge in different orders.  Each
+    is merged on its own, unpruned, so swapping f and g swaps the two tables
+    exactly; the final difference, halving and prune are sign-symmetric in
+    IEEE arithmetic.  The result is therefore exactly antisymmetric, and the
+    f = g bracket is exactly empty.
+    """
+    fg = _pairwise(f, g, weight, 0.0)
+    gf = _pairwise(g, f, weight, 0.0)
+    return FourierField(
+        np.concatenate([fg.modes, gf.modes]),
+        0.5 * np.concatenate([fg.coeffs, -gf.coeffs]),
+        prune,
     )
 
 
@@ -266,26 +258,22 @@ def moyal_bracket(
 ) -> FourierField:
     """Deformed bracket (f*g - g*f)/(i*hbar), computed in closed form.
 
-    Coefficient rule: (2/hbar) sin(hbar/2 * m x n) f_m g_n on mode m+n.
+    Coefficient rule: (2/hbar) sin(hbar/2 * m x n) f_m g_n on mode m+n,
+    antisymmetrized exactly by `_antisymmetrized`.  The closed-form weight
+    avoids the cancellation of the star commutator at small hbar.
     Requires hbar > 0.
     """
     if not hbar > 0:
         raise ValueError(f"moyal_bracket requires hbar > 0, got {hbar}")
-    if _same_field(f, g):
-        # antisymmetry makes the self-bracket identically zero
-        return FourierField.zero()
-    return _pairwise(
-        f, g, lambda x: (2.0 / hbar) * np.sin(0.5 * hbar * x), prune, pair_sorted=True
-    )
+    return _antisymmetrized(f, g, lambda x: (2.0 / hbar) * np.sin(0.5 * hbar * x), prune)
 
 
 def poisson_bracket(
     f: FourierField, g: FourierField, prune: float = DEFAULT_PRUNE
 ) -> FourierField:
-    """Classical bracket, coefficient rule (m x n) f_m g_n on mode m+n."""
-    if _same_field(f, g):
-        return FourierField.zero()
-    return _pairwise(f, g, lambda x: x.astype(np.float64), prune, pair_sorted=True)
+    """Classical bracket, coefficient rule (m x n) f_m g_n on mode m+n,
+    antisymmetrized exactly by `_antisymmetrized`."""
+    return _antisymmetrized(f, g, lambda x: x.astype(np.float64), prune)
 
 
 def eval_on_torus(f: FourierField, p, q):

@@ -43,6 +43,20 @@ def test_bessel_integral_basic():
     assert abs(bessel_integral(0, -1.3) + bessel_integral(0, 1.3)) < 1e-12
 
 
+def test_bessel_integral_cache_stays_bounded():
+    limit = bessel_integral.cache_info().maxsize
+    assert limit is not None
+    bessel_integral.cache_clear()
+    try:
+        for ell in range(limit + 100):  # x = 0 returns before any Bessel call
+            bessel_integral(ell, 0.0)
+        info = bessel_integral.cache_info()
+        assert info.misses == limit + 100
+        assert info.currsize <= info.maxsize
+    finally:
+        bessel_integral.cache_clear()
+
+
 def test_bessel_integral_series_matches_quadrature():
     # adaptive quadrature of J_ell stays in the tests as the independent oracle
     from scipy.integrate import quad

@@ -202,6 +202,15 @@ def test_negative_span_value_forms(capsys):
         assert code == 0
 
 
+def test_span_value_after_flag_is_joined_only_after_long_flags():
+    import startorus.cli as cli
+
+    argv = ["verify-chiral", "--grid-w", "-1:-0.5", "--grid-z=-1:1", "--h", "-0.25", "--", "-1:1"]
+    assert cli._join_span_values(argv) == [
+        "verify-chiral", "--grid-w=-1:-0.5", "--grid-z=-1:1", "--h", "-0.25", "--", "-1:1"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -249,13 +249,61 @@ def test_star_associative(f, g, h, hbar):
     assert (left - right).max_abs_coeff() <= 1e-13 * scale
 
 
+def assert_exact_negatives(a: FourierField, b: FourierField) -> None:
+    assert np.array_equal(a.modes, b.modes)
+    assert np.array_equal(a.coeffs, -b.coeffs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_fields(), small_fields(), hbars)
 def test_moyal_antisymmetric(f, g, hbar):
-    total = moyal_bracket(f, g, hbar) + moyal_bracket(g, f, hbar)
-    scale = max(1.0, f.sup_bound() * g.sup_bound())
-    # bit-exact for generic draws; the tolerance covers contrived magnitude ties
-    assert total.max_abs_coeff() <= 1e-14 * scale
+    assert_exact_negatives(moyal_bracket(f, g, hbar), moyal_bracket(g, f, hbar))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fields(), small_fields())
+def test_poisson_antisymmetric(f, g):
+    assert_exact_negatives(poisson_bracket(f, g), poisson_bracket(g, f))
+
+
+def test_antisymmetry_is_exact_where_merge_order_matters():
+    # colliding terms of this pair round differently in the two operand
+    # orders; summing the pairs in a swap-invariant order still left 4.4e-16
+    f = FourierField.from_dict({(-1, 0): -1, (-1, 1): 1j, (0, 2): 1, (2, -2): -1j, (2, 1): 1j})
+    g = FourierField.from_dict({(-2, 1): 1j, (-1, 1): 1, (0, 0): 1j, (1, 0): -1j, (2, 1): 1})
+    assert_exact_negatives(moyal_bracket(f, g, 0.5), moyal_bracket(g, f, 0.5))
+    assert_exact_negatives(poisson_bracket(f, g), poisson_bracket(g, f))
+    assert moyal_bracket(f, g, 0.5).size > 0 and poisson_bracket(f, g).size > 0
+
+
+def pairwise_reference(f: FourierField, g: FourierField, weight) -> dict:
+    """sum_{m,n} w(m x n) f_m g_n on mode m + n, one term at a time."""
+    acc: dict = {}
+    for (a, b), cf in f.items():
+        for (c, d), cg in g.items():
+            key = (a + c, b + d)
+            acc[key] = acc.get(key, 0j) + weight(a * d - b * c) * cf * cg
+    return acc
+
+
+def test_dense_brackets_match_pairwise_definition():
+    rng = np.random.default_rng(50)
+    for band, hbar in ((7, 0.5), (8, 2 * np.pi / 7)):
+        side = 2 * band + 1
+        f, g = (
+            FourierField.from_window(
+                rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+            )
+            for _ in range(2)
+        )
+        cases = [
+            (moyal_bracket(f, g, hbar), lambda x: (2 / hbar) * math.sin(0.5 * hbar * x)),
+            (poisson_bracket(f, g), float),
+        ]
+        for got, weight in cases:
+            want = pairwise_reference(f, g, weight)
+            largest = max(abs(v) for v in want.values())
+            assert dict_diff(want, got) <= 1e-12 * largest
 
 
 @settings(max_examples=100, deadline=None)
