@@ -225,6 +225,9 @@ def test_validation_errors_exit_one(capsys):
         ["converge", "--n-list", "2,x"],
         ["bessel-check", "--terms", "3"],
         ["star", "--op", "junk", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
+        ["star", "--hbar", "inf", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
+        ["star", "--op", "star", "--hbar", "nan", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
+        ["star", "--f", "[[0,0,NaN,0]]", "--g", "[[0,1,1,0]]"],
         ["no-such-command"],
     ]
     for argv in cases:

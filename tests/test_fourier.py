@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from startorus import (
     FourierField,
+    chi_project,
     eval_on_torus,
     fft_project,
+    matched_hbar,
     moyal_bracket,
     poisson_bracket,
     sample_on_grid,
     star_product,
 )
+from startorus import fourier
 
 # ---------------------------------------------------------------------------
 # dict-based reference algebra, written without reference to the package's
@@ -85,6 +88,14 @@ def random_field(rng, n_modes: int, band: int, real: bool = False) -> FourierFie
     if real:
         f = 0.5 * (f + f.conjugate())
     return f
+
+
+def dense_field(rng, band: int) -> FourierField:
+    """Every mode of the band filled: operands the FFT route takes."""
+    side = 2 * band + 1
+    return FourierField.from_window(
+        rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +194,9 @@ def test_moyal_single_modes():
 
 def test_self_bracket_is_exactly_empty():
     rng = np.random.default_rng(46)
-    for _ in range(20):
-        f = random_field(rng, 7, 5) * 1e4
+    fields = [random_field(rng, 7, 5) * 1e4 for _ in range(20)]
+    fields += [dense_field(rng, band) * 1e4 for band in (3, 6, 9)]
+    for f in fields:
         assert moyal_bracket(f, f, 0.37).size == 0
         assert poisson_bracket(f, f).size == 0
 
@@ -276,6 +288,15 @@ def test_antisymmetry_is_exact_where_merge_order_matters():
     assert moyal_bracket(f, g, 0.5).size > 0 and poisson_bracket(f, g).size > 0
 
 
+def test_antisymmetry_is_exact_on_dense_bands():
+    rng = np.random.default_rng(52)
+    for bands in ((6, 6), (7, 4), (0, 9)):
+        f, g = (dense_field(rng, band) for band in bands)
+        for hbar in (1e-3, 0.5, 2 * np.pi / 7):
+            assert_exact_negatives(moyal_bracket(f, g, hbar), moyal_bracket(g, f, hbar))
+        assert_exact_negatives(poisson_bracket(f, g), poisson_bracket(g, f))
+
+
 def pairwise_reference(f: FourierField, g: FourierField, weight) -> dict:
     """sum_{m,n} w(m x n) f_m g_n on mode m + n, one term at a time."""
     acc: dict = {}
@@ -304,6 +325,81 @@ def test_dense_brackets_match_pairwise_definition():
             want = pairwise_reference(f, g, weight)
             largest = max(abs(v) for v in want.values())
             assert dict_diff(want, got) <= 1e-12 * largest
+
+
+# ---------------------------------------------------------------------------
+# the two routes of `fourier._pairwise`
+
+def route_weights(hbar: float) -> dict:
+    return {
+        "star": fourier._star_weight(hbar),
+        "moyal": fourier._moyal_weight(hbar),
+        "poisson": fourier._POISSON_WEIGHT,
+    }
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 0.5, 2 * np.pi / 7])
+@pytest.mark.parametrize("bands", [(0, 5), (5, 0), (6, 3), (2, 7), (4, 4)])
+def test_fft_route_matches_sparse_route(bands, hbar):
+    rng = np.random.default_rng(53 + 10 * bands[0] + bands[1])
+    f, g = (dense_field(rng, band) for band in bands)
+    f = f + FourierField.basis(bands[0], -bands[0], 1e3)  # one dominant mode
+    for name, weight in route_weights(hbar).items():
+        sparse = fourier._sparse_pairwise(f, g, weight.closed, 0.0)
+        fast = fourier._fft_pairwise(f, g, weight.split, 0.0)
+        assert fast.band_limit <= bands[0] + bands[1]
+        assert (fast - sparse).max_abs_coeff() <= 1e-12 * sparse.max_abs_coeff(), name
+
+
+def test_routing_keeps_sparse_operands_bit_exact():
+    rng = np.random.default_rng(54)
+    e10, e01, e00 = FourierField.basis(1, 0), FourierField.basis(0, 1), FourierField.basis(0, 0)
+    sparse_pairs = [(e10, e01), (e00, random_field(rng, 6, 4)), (e00, dense_field(rng, 8))]
+    dense_pair = (dense_field(rng, 6), dense_field(rng, 5))
+    for weight in route_weights(0.7).values():
+        for f, g in sparse_pairs:
+            got = fourier._pairwise(f, g, weight, 0.0)
+            want = fourier._sparse_pairwise(f, g, weight.closed, 0.0)
+            assert np.array_equal(got.modes, want.modes)
+            assert np.array_equal(got.coeffs, want.coeffs)
+        got = fourier._pairwise(*dense_pair, weight, 0.0)
+        want = fourier._fft_pairwise(*dense_pair, weight.split, 0.0)
+        assert np.array_equal(got.modes, want.modes)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_fft_route_row_batches_agree_with_one_batch(monkeypatch):
+    rng = np.random.default_rng(55)
+    f, g = dense_field(rng, 5), dense_field(rng, 4)
+    weight = fourier._moyal_weight(0.5)
+    whole = fourier._fft_pairwise(f, g, weight.split, 0.0)
+    # batches of one f row and four of g's nine rows, the last one short
+    monkeypatch.setattr(fourier, "_FFT_BATCH", 4 * fourier._fft_length(19))
+    batched = fourier._fft_pairwise(f, g, weight.split, 0.0)
+    assert (batched - whole).max_abs_coeff() <= 1e-14 * whole.max_abs_coeff()
+
+
+def test_fft_length_is_smooth():
+    assert [fourier._fft_length(n) for n in (1, 7, 13, 51, 97, 129)] == [1, 8, 15, 54, 100, 135]
+
+
+def test_star_associative_on_dense_bands():
+    rng = np.random.default_rng(56)
+    f, g, h = (dense_field(rng, 6) for _ in range(3))
+    for hbar in (1e-3, 0.5, 2 * np.pi / 7):
+        left = star_product(star_product(f, g, hbar), h, hbar)
+        right = star_product(f, star_product(g, h, hbar), hbar)
+        assert (left - right).max_abs_coeff() <= 1e-12 * left.max_abs_coeff()
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_fold_homomorphism_on_dense_bands(n):
+    rng = np.random.default_rng(57 + n)
+    f, g = dense_field(rng, 6), dense_field(rng, 5)
+    lhs = chi_project(moyal_bracket(f, g, matched_hbar(n)), n)
+    pf, pg = chi_project(f, n), chi_project(g, n)
+    rhs = pf @ pg - pg @ pf
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,6 +458,14 @@ def test_prune_drops_tiny_coefficients():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         FourierField([[1, 0], [0, 1]], [1.0])
+
+
+def test_non_finite_coefficients_rejected():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            FourierField([[0, 0], [1, 2]], [1.0, bad])
+    with pytest.raises(ValueError, match=r"mode \(1, 2\)"):
+        FourierField.from_dict({(0, 0): 1.0, (1, 2): np.nan})
 
 
 def test_arithmetic_and_norms():
@@ -425,9 +529,19 @@ def test_from_dict_round_trip():
 def test_moyal_requires_positive_hbar():
     f = FourierField.basis(1, 0)
     g = FourierField.basis(0, 1)
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, -np.inf):
         with pytest.raises(ValueError):
             moyal_bracket(f, g, bad)
+
+
+def test_non_finite_hbar_rejected():
+    f = FourierField.basis(1, 0)
+    g = FourierField.basis(0, 1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            moyal_bracket(f, g, bad)
+        with pytest.raises(ValueError, match="finite"):
+            star_product(f, g, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Grid container validation, the dense mode tensor, and batched projection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,9 @@ def test_gridded_field_shape_and_band_checks():
         assert gf.node((i,)).to_dict() == f.to_dict()
     with pytest.raises(ValueError):
         FourierField.basis(0, 2).window(1)  # mode outside the window
+    for shape in ((4, 4), (5, 3), (25,), (1, 5, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"window shape {shape}")):
+            FourierField.from_window(np.zeros(shape))
     with pytest.raises(ValueError):
         GriddedFourierField(grid, values[:1], hbar=0.5)
     with pytest.raises(ValueError):
