@@ -13,6 +13,14 @@ and the M_j are fixed anti-hermitian combinations of window basis matrices.
 The field solves vartheta_ww + vartheta_zz + [vartheta_w, vartheta_z] = 0
 and encodes a principally embedded chiral model whose n -> infinity limit
 recovers the torus solution at quadratic rate in 1/n.
+
+Every Bessel value comes from one numpy table, `_bessel_table`: J_0..J_N at
+every point of an array, by Miller's backward recurrence
+J_{k-1} = (2k/x) J_k - J_{k+1} normalised with J_0 + 2 sum_k J_2k = 1.  The
+integrals I_ell are reverse cumulative sums over every other order of that
+table (`_bessel_integrals`), one table per batch of points, so callers pass
+all their points at once: the chiral coefficients all z of a grid, the
+solution's mode expansion every (w, z) node and deformation.
 """
 
 from __future__ import annotations
@@ -47,18 +55,87 @@ __all__ = [
 ]
 
 
+# Below this |x| the leading series term (x/2)^l / l! is J_l(x) to double
+# precision (the next term is x^2 / (4 (l + 1)) smaller), and one step of the
+# backward recurrence could overflow past the rescaling threshold.
+_TINY_X = 1e-30
+_RESCALE = 1e250
+
+
+def _finite_points(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"Bessel functions need finite arguments, got {float(x[~np.isfinite(x)][0])}")
+    return x
+
+
+def _bessel_table(order: int, x) -> np.ndarray:
+    """J_0(x)..J_order(x) at every point of x, shape (order + 1,) + x.shape.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} (DLMF 3.6(v),
+    10.74(iv)) starts from J_{N+1} = 0, J_N = 1 at an even N above
+    max(order, |x|) plus a margin.  A point's values are divided by a power
+    of two once one of them passes 1e250, and the result is normalised by
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  J_l(-x) = (-1)^l J_l(x);
+    x = 0 gives J_0 = 1 and every other order 0.
+    """
+    x = _finite_points(x)
+    ax = np.abs(x).ravel()
+    out = np.empty((order + 1, ax.size))
+    tiny = ax < _TINY_X
+    steps = 0.5 * ax[tiny] / np.arange(1, order + 1)[:, None]
+    out[:, tiny] = np.cumprod(np.vstack([np.ones((1, steps.shape[1])), steps]), axis=0)
+    xs = ax[~tiny]
+    if xs.size:
+        top = max(order, math.ceil(xs.max()))
+        start = top + 20 + math.isqrt(40 * top + 40)
+        start += start % 2
+        factor = np.arange(start + 1)[:, None] * (2.0 / xs)
+        # |J_{k-1}| <= (growth + 1) max(|J_k|, |J_{k+1}|), so checking every
+        # `every` steps keeps each value below 1e300
+        growth = 2.0 * start / xs.min()
+        every = max(1, int(50.0 // math.log10(growth + 2.0)))
+        rows = np.zeros((start + 2, xs.size))
+        rows[start] = 1.0
+        row, fac = list(rows), list(factor)  # views, indexed fast in the loop
+        for k in range(start, 0, -1):
+            lo = row[k - 1]
+            np.multiply(fac[k], row[k], out=lo)
+            lo -= row[k + 1]
+            if k % every == 0:
+                mag = np.abs(lo)
+                if mag.max() > _RESCALE:
+                    # by powers of two: exact, so where it happens moves no bit
+                    shift = np.where(mag > _RESCALE, -np.frexp(mag)[1], 0)
+                    rows[k - 1 :] *= np.ldexp(1.0, shift)
+        norm = rows[0] + 2.0 * rows[2::2].sum(axis=0)
+        out[:, ~tiny] = rows[: order + 1] / norm
+    out[1::2, x.ravel() < 0] *= -1.0
+    return out.reshape((order + 1,) + x.shape)
+
+
+def _bessel_integrals(order: int, x) -> np.ndarray:
+    """I_0(x)..I_order(x), I_l(x) = int_0^x J_l = 2 sum_k J_{l+2k+1}(x) (DLMF 10.22(i)),
+    at every point of x, shape (order + 1,) + x.shape.
+
+    One table to order + 2 ceil(max |x|) + 62, past which the rest is far
+    below double precision; each I_l is twice a reverse cumulative sum over
+    the orders of the other parity."""
+    x = _finite_points(x)
+    top = order + 2 * math.ceil(np.max(np.abs(x), initial=0.0)) + 62
+    table = _bessel_table(top, x)
+    tails = np.empty_like(table)
+    for parity in (0, 1):
+        tails[parity::2] = np.cumsum(table[parity::2][::-1], axis=0)[::-1]
+    return 2.0 * tails[1 : order + 2]
+
+
 @lru_cache(maxsize=1 << 14)
 def bessel_integral(ell: int, x: float) -> float:
-    """I_ell(x) = int_0^x J_ell(t) dt = 2 sum_k J_{ell+2k+1}(x) (DLMF 10.22(i)).
-
-    The series stops past order 2|x| + 60, where the rest is far below double
-    precision."""
-    from scipy.special import jv
-
+    """I_ell(x) = int_0^x J_ell(t) dt, one column of `_bessel_integrals`."""
     if x == 0.0:
         return 0.0
-    orders = ell + 1 + 2 * np.arange(math.ceil(abs(x)) + 31)
-    return float(2.0 * np.sum(jv(orders, x)[::-1]))
+    return float(_bessel_integrals(ell, x)[ell])
 
 
 def _i_bound(ell: int, x: float) -> float:
@@ -78,6 +155,8 @@ class BesselCoefficient:
 
     index(k) must be strictly increasing; truncation stops once the next
     term bound clears tol with a geometric safety factor; past 300 terms it raises.
+    z may be an array: one table of Bessel integrals serves every point, and
+    each point keeps the terms its own truncation rule picks.
     """
 
     def __init__(self, label: str, sigma: float, prefactor: float, term: Callable):
@@ -86,20 +165,26 @@ class BesselCoefficient:
         self.prefactor = prefactor
         self.term = term  # k -> (weight, ell)
 
-    def __call__(self, z: float, tol: float = 1e-13) -> float:
-        x = z * self.sigma
-        total = 0.0
+    def _term_count(self, x: float, tol: float) -> int:
         k = 0
         while True:
-            weight, ell = self.term(k)
-            total += weight * bessel_integral(ell, x)
             k += 1
             _, nxt = self.term(k)
             if nxt > abs(x) + 2.0 and 4.0 * _i_bound(nxt, x) < tol:
-                break
+                return k
             if k > 300:
                 raise ValueError(f"{self.label!r}: no convergence in {k} Bessel terms at x = {x!r}")
-        return self.prefactor * total
+
+    def __call__(self, z, tol: float = 1e-13):
+        x = np.asarray(z, dtype=np.float64) * self.sigma
+        counts = np.array([self._term_count(float(xi), tol) for xi in x.ravel()])
+        terms = [self.term(k) for k in range(counts.max())]
+        table = _bessel_integrals(max(ell for _, ell in terms), x.ravel())
+        total = np.zeros(x.size)
+        for k, (weight, ell) in enumerate(terms):
+            total += np.where(k < counts, weight * table[ell], 0.0)
+        out = self.prefactor * total
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _coefficients(n: int, sigma: float):
@@ -241,8 +326,7 @@ class ChiralModel:
         vals += self.lead
         vals += ws[:, None, None, None] * self.w_mat
         for coef, mat in self.terms:
-            cz = np.array([coef(z) for z in zs])
-            vals += cz[None, :, None, None] * mat
+            vals += coef(zs)[None, :, None, None] * mat
         return MatrixField(grid, vals, self.n)
 
 
@@ -270,45 +354,55 @@ class ExpansionResult:
     z: float
 
 
-def fourier_expansion_theta(hbar: float, w: float, z: float, band_limit: int) -> ExpansionResult:
-    """Mode expansion with Bessel-integral coefficients.
+def _expansion_row(hbar, z, band_limit: int) -> np.ndarray:
+    """Bessel-integral modes c_(1, l), l = 0..band_limit, of the closed-form
+    solution (its c_(1, -l) are the same and its c_(-1, +-l) their
+    conjugates), broadcast over hbar and z, from one table.
 
     A_0 = -I_0(x)/s, A_{2m-1} = (-1)^m I_{2m-1}(x)/s,
-    A_{2m} = (-1)^(m+1) I_{2m}(x)/s with x = z s; modes beyond band_limit
-    in the second slot are dropped and bounded in the reported tail.
+    A_{2m} = (-1)^(m+1) I_{2m}(x)/s with x = z s; c_(1, l) is A_l/2 for
+    odd l and A_l/(2i) for even l.
     """
     if band_limit < 1:
         raise ValueError("band_limit must be >= 1")
+    s = np.vectorize(freq_factor, otypes=[float])(hbar)
+    s, z = np.broadcast_arrays(s, np.asarray(z, dtype=np.float64))
+    ell = np.arange(band_limit + 1)
+    half = (ell + 1) // 2
+    sign = np.where(ell % 2 == 1, (-1.0) ** half, (-1.0) ** (half + 1))
+    amp = (sign / s[..., None]) * np.moveaxis(_bessel_integrals(band_limit, z * s), 0, -1)
+    return np.where(ell % 2 == 1, 0.5 * amp, -0.5j * amp)
+
+
+def _expansion_windows(hbar, w, z, band_limit: int) -> np.ndarray:
+    """Mode windows [..., R + m1, R + m2] of the closed-form solution, R = band_limit,
+    broadcast over hbar, w and z: (pi/4) (E_(1,1) + E_(-1,-1)), the w terms
+    on (0, +-1) and `_expansion_row` on (+-1, +-l)."""
+    row = _expansion_row(hbar, z, band_limit)
+    shape = np.broadcast_shapes(row.shape[:-1], np.shape(w))
+    row = np.broadcast_to(row, shape + row.shape[-1:])
+    w = np.broadcast_to(w, shape)
+    r = band_limit
+    cols = np.arange(r + 1)
+    out = np.zeros(row.shape[:-1] + (2 * r + 1, 2 * r + 1), dtype=np.complex128)
+    for side in (r + cols, r - cols):
+        out[..., r + 1, side] = row
+        out[..., r - 1, side] = row.conj()
+    out[..., r + 1, r + 1] += np.pi / 4.0
+    out[..., r - 1, r - 1] += np.pi / 4.0
+    out[..., r, r + 1] = 0.5j * w
+    out[..., r, r - 1] = -0.5j * w
+    return out
+
+
+def fourier_expansion_theta(hbar: float, w: float, z: float, band_limit: int) -> ExpansionResult:
+    """Mode expansion with Bessel-integral coefficients (`_expansion_windows`);
+    modes beyond band_limit in the second slot are dropped and bounded in
+    the reported tail."""
+    field = FourierField.from_window(_expansion_windows(hbar, w, z, band_limit))
     s = freq_factor(hbar)
     x = z * s
-    coeffs = {}
-
-    def add(m, c):
-        coeffs[m] = coeffs.get(m, 0.0) + c
-
-    add((1, 1), np.pi / 4.0)
-    add((-1, -1), np.pi / 4.0)
-    add((0, 1), -w / 2j)
-    add((0, -1), w / 2j)
-
-    a0 = -bessel_integral(0, x) / s
-    add((1, 0), a0 / 2j)
-    add((-1, 0), -a0 / 2j)
-    for ell in range(1, band_limit + 1):
-        m = (ell + 1) // 2
-        if ell % 2 == 1:
-            a = ((-1.0) ** m / s) * bessel_integral(ell, x)
-            for mode in ((1, ell), (1, -ell), (-1, ell), (-1, -ell)):
-                add(mode, a / 2.0)
-        else:
-            a = ((-1.0) ** (m + 1) / s) * bessel_integral(ell, x)
-            add((1, ell), a / 2j)
-            add((1, -ell), a / 2j)
-            add((-1, ell), -a / 2j)
-            add((-1, -ell), -a / 2j)
-
     tail = sum(2.0 * _i_bound(ell, x) / s for ell in range(band_limit + 1, band_limit + 81))
-    field = FourierField.from_dict(coeffs)
     return ExpansionResult(
         field=field, tail_bound=float(tail), band_limit=band_limit,
         hbar=float(hbar), w=float(w), z=float(z),
@@ -401,18 +495,13 @@ def convergence_study(
         raise ValueError("need at least two ranks, all >= 2")
     if band_limit < max(n_values):
         raise ValueError("band_limit must cover the largest window")
-    distances = []
-    for n in n_values:
-        hbar = matched_hbar(n)
-        worst = 0.0
-        for w, z in points:
-            f_n = fourier_expansion_theta(hbar, w, z, band_limit).field
-            f_ref = fourier_expansion_theta(hbar_ref, w, z, band_limit).field
-            diff = f_n - f_ref
-            for (m1, m2), c in diff.items():
-                if 0 <= m1 < n and 0 <= m2 < n and (m1, m2) != (0, 0):
-                    worst = max(worst, abs(c))
-        distances.append(worst)
+    z = np.asarray(points, dtype=np.float64)[:, 1]
+    hbars = np.array([matched_hbar(n) for n in n_values] + [hbar_ref])
+    # inside the window [0, n)^2 the two expansions differ only on the modes
+    # (1, 0..n-1): the w term on (0, 1) and pi/4 on (1, 1) do not depend on hbar
+    rows = _expansion_row(hbars[:, None], z, band_limit)
+    gaps = np.abs(rows[:-1] - rows[-1])
+    distances = [float(gap[:, :n].max()) for n, gap in zip(n_values, gaps)]
     slope = np.polyfit(np.log(n_values), np.log(distances), 1)[0]
     return ConvergenceReport(
         n_values=list(n_values), distances=distances, exponent=float(-slope)
@@ -452,14 +541,12 @@ class BesselIdentityReport:
 def bessel_identity_check(
     zeta_max: float = 4.0, terms: int = 40, samples: int = 401
 ) -> BesselIdentityReport:
-    from scipy.special import jv
-
     zeta = np.linspace(0.0, zeta_max, samples)
-    odd_sum = sum((-1.0) ** k * jv(2 * k + 1, zeta) for k in range(terms + 1))
-    odd_from_one = odd_sum - jv(1, zeta)
-    even_sum = jv(0, zeta) + 2.0 * sum(
-        (-1.0) ** k * jv(2 * k, zeta) for k in range(1, terms + 1)
-    )
+    table = _bessel_table(2 * terms + 1, zeta)
+    signs = (-1.0) ** np.arange(terms + 1)
+    odd_sum = signs @ table[1::2]  # sum_k (-1)^k J_{2k+1}, k = 0..terms
+    odd_from_one = odd_sum - table[1]
+    even_sum = table[0] + 2.0 * (signs[1:] @ table[2::2])
     printed = float(np.max(np.abs(odd_from_one - np.sinc(zeta / np.pi))))
     standard = float(np.max(np.abs(2.0 * odd_sum - np.sin(zeta))))
     second = float(np.max(np.abs(even_sum - np.cos(zeta))))

@@ -210,7 +210,6 @@ def cmd_verify_me(args) -> int:
             "hbar": (1e-3, float),
             "h": (0.05, float),
             "band_limit": (24, int),
-            "torus_n": (128, int),
         },
     )
     solution = example_solution(p["hbar"])
@@ -222,7 +221,7 @@ def cmd_verify_me(args) -> int:
         if abs(count - nz) > 1e-9 or nz < 2:
             raise ValueError("z span 0.8 must be an integer multiple of h")
         grid = SpacetimeGrid({"w": w_axis, "z": np.linspace(0.1, 0.9, nz + 1)})
-        gridded = solution.gridded(grid, p["band_limit"], torus_n=p["torus_n"])
+        gridded = solution.gridded(grid, p["band_limit"])
         return residual_moyal_hp(gridded)
 
     rows, order = _refinement_rows(make_report, p["h"], [p["hbar"]])
@@ -341,8 +340,8 @@ def cmd_converge(args) -> int:
 
 def cmd_bessel_check(args) -> int:
     p = _settle(args, {"zeta_max": (4.0, float), "terms": (40, int)})
-    if p["zeta_max"] <= 0 or p["terms"] < 5:
-        raise ValueError("need zeta_max > 0 and terms >= 5")
+    if not (p["zeta_max"] > 0 and np.isfinite(p["zeta_max"])) or p["terms"] < 5:
+        raise ValueError("need a finite zeta_max > 0 and terms >= 5")
     report = bessel_identity_check(zeta_max=p["zeta_max"], terms=p["terms"])
     _emit(_json_text(report.to_dict()), args.out)
     return 0
@@ -397,7 +396,6 @@ def _build_parser() -> _Parser:
             "--hbar": {"default": None, "type": float},
             "--h": {"default": None, "type": float},
             "--band-limit": {"default": None, "type": int, "dest": "band_limit"},
-            "--torus-n": {"default": None, "type": int, "dest": "torus_n"},
         },
     )
     add(
@@ -440,12 +438,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _dash_value(token: str) -> bool:
+    """Whether argparse would take a value for a flag of its own: a span such
+    as -1:1, or a float such as -inf, -nan or -1e-3.  Plain decimals such as
+    -2 or -0.5 are left alone, since argparse reads them as numbers."""
+    if re.match(r"-[\d.]+:", token):
+        return True
+    if not token.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", token):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _join_span_values(argv) -> list:
-    """Rewrite `--flag -1:1` as `--flag=-1:1`: argparse takes a value that
-    starts with "-" and is not a plain number for a flag of its own."""
+    """Rewrite `--flag VALUE` as `--flag=VALUE` for each VALUE that argparse
+    would otherwise take for a flag (`_dash_value`)."""
     out = []
     for token in argv:
-        if out and re.match(r"-[\d.]+:", token) and re.fullmatch(r"--[^=]+", out[-1]):
+        if out and _dash_value(token) and re.fullmatch(r"--[^=]+", out[-1]):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

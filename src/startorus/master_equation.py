@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import (
+    DEFAULT_PRUNE,
     FourierField,
     fft_project,
     moyal_bracket,
@@ -90,6 +91,11 @@ class ClosedFormSolution:
     with s = freq_factor(hbar).  Near cos q = 0 the last term is evaluated
     as -int_0^z sin(zeta s cos q + p) dzeta by 16-point Gauss-Legendre,
     which is the same analytic object without the 0/0.
+
+    Its torus modes are known in closed form: Bessel integrals of z s on the
+    modes (+-1, l) (`chiral.fourier_expansion_theta`).  `gridded` fills its
+    mode windows from that expansion; `mode_field` projects sampled values
+    by FFT and is the reference the expansion is checked against.
     """
 
     def __init__(self, hbar: float):
@@ -122,19 +128,24 @@ class ClosedFormSolution:
         return out if out.shape else float(out)
 
     def mode_field(self, w: float, z: float, band_limit: int, torus_n: int = 128) -> FourierField:
-        """Torus-mode content at fixed (w, z) via the FFT projector."""
+        """Torus-mode content at fixed (w, z) by FFT projection of sampled
+        values: the reference the closed-form expansion is checked against."""
         pp, qq = torus_nodes(torus_n)
         samples = self.evaluate(w, z, pp, qq)
         return fft_project(np.asarray(samples, dtype=np.complex128), band_limit)
 
-    def gridded(
-        self, grid: SpacetimeGrid, band_limit: int, torus_n: int = 128
-    ) -> GriddedFourierField:
-        checked_grid(grid, ("w", "z"), nodes=2)
+    def gridded(self, grid: SpacetimeGrid, band_limit: int) -> GriddedFourierField:
+        """Mode windows at every (w, z) node from the closed-form expansion,
+        with no torus sampling; |c| <= DEFAULT_PRUNE is zeroed, as in
+        `GriddedFourierField.sample`."""
+        from .chiral import _expansion_windows  # chiral imports this module
 
-        return GriddedFourierField.sample(
-            grid, lambda pt, P, Q: self.evaluate(pt[0], pt[1], P, Q), band_limit, self.hbar, torus_n
+        checked_grid(grid, ("w", "z"), nodes=2)
+        values = _expansion_windows(
+            self.hbar, grid.axis("w")[:, None], grid.axis("z")[None, :], band_limit
         )
+        values[np.abs(values) <= DEFAULT_PRUNE] = 0.0
+        return GriddedFourierField(grid, values, self.hbar)
 
 
 def example_solution(hbar: float) -> ClosedFormSolution:

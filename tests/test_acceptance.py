@@ -179,7 +179,7 @@ def test_criterion_4_master_equation():
             grid = SpacetimeGrid(
                 {"w": np.linspace(-0.3, 0.3, 3), "z": np.linspace(0.1, 0.9, nz)}
             )
-            sups.append(residual_moyal_hp(sol.gridded(grid, 24, torus_n=64)).sup)
+            sups.append(residual_moyal_hp(sol.gridded(grid, 24)).sup)
         orders.append(richardson_order(sups[0], sups[1]))
     orders_ok = all(1.7 <= o <= 2.3 for o in orders)
 

@@ -1,5 +1,6 @@
 """Finite-rank chiral fields, their large-rank limit, and Bessel machinery."""
 
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from startorus import (
     residual_chiral,
     richardson_order,
 )
-from startorus.chiral import BesselCoefficient, _i_bound
+from startorus.chiral import BesselCoefficient, _bessel_table, _i_bound
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -68,13 +69,64 @@ def test_bessel_integral_series_matches_quadrature():
 
 
 def test_import_loads_no_scipy():
-    code = "import sys, startorus; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # importing the package and running every Bessel subcommand at its defaults
+    code = (
+        "import contextlib, io, sys, startorus\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from startorus.cli import main\n"
+        "for cmd in ('verify-chiral', 'converge', 'bessel-check'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([cmd]) == 0, cmd\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     src = os.path.dirname(os.path.dirname(startorus.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
+
+
+def test_bessel_table_matches_jv():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0, 1e-8, -1e-8, -1e-3, 1e-3, 39.99]])
+    table = _bessel_table(400, x)
+    assert table.shape == (401, x.size)
+    orders = np.arange(401)[:, None]
+    assert np.max(np.abs(table - jv(orders, x))) <= 1e-14
+    at_zero = table[:, x == 0.0][:, 0]
+    assert at_zero[0] == 1.0 and not at_zero[1:].any()
+    # near 0 the leading series term (x/2)^l / l! is J_l to double precision
+    # (jv is not, there); the table switches to it between these points
+    tiny = [1e-40, -3e-31, 2e-30, -5e-20]
+    for ell, row in enumerate(_bessel_table(5, np.array(tiny))):
+        for t, got in zip(tiny, row):
+            want = (t / 2.0) ** ell / math.factorial(ell)
+            assert abs(got - want) <= 1e-15 * abs(want), (ell, t)
+    # shape follows x, and a table to a lower order is the same table cut short
+    grid = x[:6].reshape(2, 3)
+    assert _bessel_table(3, grid).shape == (4, 2, 3)
+    assert np.max(np.abs(_bessel_table(3, grid) - table[:4, :6].reshape(4, 2, 3))) <= 1e-15
+
+
+def test_bessel_functions_reject_non_finite_arguments():
+    with pytest.raises(ValueError, match="finite arguments, got nan"):
+        bessel_integral(2, float("nan"))
+    with pytest.raises(ValueError, match="finite arguments, got inf"):
+        fourier_expansion_theta(0.5, 0.1, float("inf"), band_limit=4)
+    with pytest.raises(ValueError, match="finite arguments"):
+        _bessel_table(3, np.array([0.5, -np.inf]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_bessel_coefficient_array_equals_scalar_calls(n):
+    zs = np.concatenate([np.linspace(-1.0, 2.0, 31), [0.0, 1e-9]])
+    for coef, _ in chiral_model(n).terms:
+        got = coef(zs)
+        assert got.shape == zs.shape
+        for z, value in zip(zs, got):
+            want = coef(float(z))
+            assert isinstance(want, float)
+            assert abs(value - want) <= 1e-15 * abs(want), (coef.label, z)
 
 
 def test_i_bound_really_bounds():
@@ -264,6 +316,22 @@ def test_convergence_is_quadratic():
     d = rep.to_dict()
     assert d["monotone"] is True
     assert len(d["distances"]) == 4
+
+
+def test_convergence_study_matches_per_point_expansions():
+    ns, points, band, hbar_ref = [2, 3, 8, 16], [(0.0, 0.5), (0.3, 0.9), (-0.2, 1.3)], 24, 1e-8
+    rep = convergence_study(ns, points=points, band_limit=band, hbar_ref=hbar_ref)
+    for n, d in zip(ns, rep.distances):
+        worst = 0.0
+        for w, z in points:
+            diff = (
+                fourier_expansion_theta(matched_hbar(n), w, z, band).field
+                - fourier_expansion_theta(hbar_ref, w, z, band).field
+            )
+            for (m1, m2), c in diff.items():
+                if 0 <= m1 < n and 0 <= m2 < n and (m1, m2) != (0, 0):
+                    worst = max(worst, abs(c))
+        assert abs(d - worst) <= 1e-14, (n, d, worst)
 
 
 def test_convergence_validation():

@@ -94,7 +94,7 @@ def test_solve_payload(capsys):
 
 def test_verify_me_report(capsys):
     code, out, _ = run(capsys, "verify-me", "--hbar", "0.001", "--h", "0.1",
-                       "--band-limit", "16", "--torus-n", "48")
+                       "--band-limit", "16")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "hbar,h,sup_residual,rms_residual,observed_order"
@@ -209,6 +209,22 @@ def test_span_value_after_flag_is_joined_only_after_long_flags():
     assert cli._join_span_values(argv) == [
         "verify-chiral", "--grid-w=-1:-0.5", "--grid-z=-1:1", "--h", "-0.25", "--", "-1:1"
     ]
+    # floats argparse does not read as negative numbers are joined too; a
+    # plain decimal or a flag such as -h is not
+    argv = ["solve", "--hbar", "-inf", "--w", "-1e-3", "--z", "-nan", "--terms", "-2",
+            "-inf", "--w", "-h"]
+    assert cli._join_span_values(argv) == [
+        "solve", "--hbar=-inf", "--w=-1e-3", "--z=-nan", "--terms", "-2", "-inf", "--w", "-h"
+    ]
+
+
+def test_negative_float_after_flag_reaches_the_command(capsys):
+    code, out, _ = run(capsys, "solve", "--terms", "4", "--w", "-1e-3")
+    assert code == 0
+    assert json.loads(out)["w"] == -1e-3
+    code, _, err = run(capsys, "star", "--hbar", "-inf", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]")
+    assert code == 1
+    assert "finite hbar" in err
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +240,14 @@ def test_validation_errors_exit_one(capsys):
         ["verify-me", "--h", "0.07"],  # span not a multiple of h
         ["converge", "--n-list", "2,x"],
         ["bessel-check", "--terms", "3"],
+        ["bessel-check", "--zeta-max", "inf"],
         ["star", "--op", "junk", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
         ["star", "--hbar", "inf", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
         ["star", "--op", "star", "--hbar", "nan", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
         ["star", "--f", "[[0,0,NaN,0]]", "--g", "[[0,1,1,0]]"],
+        ["star", "--hbar", "-inf", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
+        ["star", "--op", "star", "--hbar", "-1e400", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
+        ["solve", "--terms", "-inf"],
         ["no-such-command"],
     ]
     for argv in cases:

@@ -161,11 +161,27 @@ def test_mode_field_known_coefficients():
     assert (f - g).max_abs_coeff() < 1e-13
 
 
+@pytest.mark.parametrize("hbar", [0.0, 1e-3, 2 * np.pi / 8])
+def test_gridded_expansion_matches_torus_sampling(hbar):
+    sol = example_solution(hbar)
+    grid = SpacetimeGrid({"w": np.linspace(-0.3, 0.3, 3), "z": np.linspace(0.0, 1.2, 5)})
+    got = sol.gridded(grid, band_limit=12)
+    want = GriddedFourierField.sample(
+        grid, lambda pt, P, Q: sol.evaluate(pt[0], pt[1], P, Q), 12, hbar, torus_n=128
+    )
+    assert got.values.shape == want.values.shape
+    assert got.hbar == want.hbar == hbar
+    assert np.max(np.abs(got.values - want.values)) <= 1e-13
+    assert np.count_nonzero(got.values) == np.count_nonzero(want.values)
+
+
 def test_gridded_requires_wz_axes():
     sol = example_solution(0.5)
     bad = SpacetimeGrid({"w": [0.0, 0.1], "y": [0.0, 0.1]})
     with pytest.raises(ValueError):
-        sol.gridded(bad, band_limit=4, torus_n=16)
+        sol.gridded(bad, band_limit=4)
+    with pytest.raises(ValueError):
+        sol.gridded(SpacetimeGrid({"w": [0.0, 0.1], "z": [0.0, 0.1]}), band_limit=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +270,8 @@ def hp_grids(h_coarse: float):
 def test_hp_residual_second_order(hbar):
     sol = example_solution(hbar)
     coarse, fine = hp_grids(0.1)
-    rep_c = residual_moyal_hp(sol.gridded(coarse, band_limit=24, torus_n=64))
-    rep_f = residual_moyal_hp(sol.gridded(fine, band_limit=24, torus_n=64))
+    rep_c = residual_moyal_hp(sol.gridded(coarse, band_limit=24))
+    rep_f = residual_moyal_hp(sol.gridded(fine, band_limit=24))
     order = richardson_order(rep_c.sup, rep_f.sup)
     assert 1.7 <= order <= 2.3, (hbar, order)
     assert rep_c.per_point.shape == rep_c.interior_shape
@@ -290,7 +306,7 @@ def per_node_moyal_hp(field):
 def test_hp_residual_equals_per_node_reference(hbar):
     sol = example_solution(hbar)
     grid = SpacetimeGrid({"w": np.linspace(-0.3, 0.3, 4), "z": np.arange(0.1, 0.5001, 0.1)})
-    field = sol.gridded(grid, band_limit=12, torus_n=32)
+    field = sol.gridded(grid, band_limit=12)
     got = residual_moyal_hp(field).per_point
     want, scale = per_node_moyal_hp(field)
     # the reference prunes |c| <= 1e-15 after every sparse operation and the
@@ -322,12 +338,12 @@ def test_hp_residual_flags_a_non_solution():
 def test_hp_residual_guards():
     sol = example_solution(0.5)
     grid = SpacetimeGrid({"w": [0.0, 0.1], "z": [0.0, 0.1, 0.2]})
-    field = sol.gridded(grid, band_limit=6, torus_n=16)
+    field = sol.gridded(grid, band_limit=6)
     with pytest.raises(ValueError):
         residual_moyal_hp(field)  # too few w nodes
     bad_axes = SpacetimeGrid({"z": [0.0, 0.1, 0.2], "w": [0.0, 0.1, 0.2]})
     with pytest.raises(ValueError):
-        residual_moyal_hp(sol.gridded(bad_axes, band_limit=6, torus_n=16))
+        residual_moyal_hp(sol.gridded(bad_axes, band_limit=6))
 
 
 # ---------------------------------------------------------------------------
