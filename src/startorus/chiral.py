@@ -312,22 +312,21 @@ class ChiralModel:
     w_mat: np.ndarray
     terms: list  # (BesselCoefficient, matrix) pairs, label-sorted
 
-    def field_matrix(self, w: float, z: float) -> np.ndarray:
-        acc = self.lead + w * self.w_mat
+    def field_matrix(self, w, z) -> np.ndarray:
+        """The field at w and z broadcast together, shape (...) + (n, n);
+        each coefficient takes all of z in one call."""
+        shape = np.broadcast_shapes(np.shape(w), np.shape(z)) + (self.n, self.n)
+        acc = np.zeros(shape, dtype=np.complex128)
+        acc += self.lead
+        acc += np.asarray(w, dtype=np.float64)[..., None, None] * self.w_mat
         for coef, mat in self.terms:
-            acc = acc + coef(z) * mat
+            acc += np.asarray(coef(z))[..., None, None] * mat
         return acc
 
     def matrix_field(self, grid: SpacetimeGrid) -> MatrixField:
         checked_grid(grid, ("w", "z"), nodes=2)
-        ws = grid.axis("w")
-        zs = grid.axis("z")
-        vals = np.zeros((ws.size, zs.size, self.n, self.n), dtype=np.complex128)
-        vals += self.lead
-        vals += ws[:, None, None, None] * self.w_mat
-        for coef, mat in self.terms:
-            vals += coef(zs)[None, :, None, None] * mat
-        return MatrixField(grid, vals, self.n)
+        values = self.field_matrix(grid.axis("w")[:, None], grid.axis("z")[None, :])
+        return MatrixField(grid, values, self.n)
 
 
 def chiral_model(n: int) -> ChiralModel:

@@ -212,6 +212,8 @@ def cmd_verify_me(args) -> int:
             "band_limit": (24, int),
         },
     )
+    if not (np.isfinite(p["h"]) and p["h"] > 0):
+        raise ValueError(f"h must be finite and > 0, got {p['h']!r}")
     solution = example_solution(p["hbar"])
     w_axis = np.linspace(-0.3, 0.3, 3)
 
@@ -301,8 +303,6 @@ def cmd_curvature(args) -> int:
     )
     if p["points"] < 1:
         raise ValueError("points must be >= 1")
-    if p["step"] <= 0:
-        raise ValueError("step must be positive")
     rows = []
     for pt in admissible_points(p["points"], seed=p["seed"]):
         sample = weyl_sample(pt, step=p["step"], extracted=True)

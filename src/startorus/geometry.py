@@ -8,9 +8,17 @@ solution, arg = z cos q + p and Phi = cos q / cos(arg), the metric is
                                       + (theta_pz dp + theta_qz dq)^2 ],
 
 with the torus bracket {f, g} = f_q g_p - f_p g_q.  A null tetrad brings it
-to ds^2 = 2 e^1 e^2 + 2 e^3 e^4; the first structure equations determine
-the frame connection, whose anti-self-dual half vanishes while the
-self-dual half carries a single curvature component C1, putting the
+to ds^2 = 2 e^1 e^2 + 2 e^3 e^4, frame metric eta = FRAME_METRIC.  The first
+structure equation de^a = -Gamma^a_b ^ e^b has one torsion-free,
+eta-compatible solution, the Ricci rotation coefficients: with D_acd the
+frame components of eta_ab de^b,
+
+    Gamma_ab = gamma_abc e^c,   gamma_abc = (D_abc + D_bca - D_cab) / 2.
+
+`cartan_first` evaluates it with de from central differences, and its
+residual max |de^a + Gamma^a_b ^ e^b| is the `structure_residual` a
+`WeylSample` reports.  The connection's anti-self-dual half vanishes while
+the self-dual half carries a single curvature component C1, putting the
 geometry in the one-repeated-null-direction class.  A coordinate change
 u = sin q, v = sin(arg) exhibits the same metric as a plane-fronted wave.
 """
@@ -196,27 +204,24 @@ FRAME_METRIC = np.array(
     ]
 )
 
-_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-_PAIR_INDEX = {pair: k for k, pair in enumerate(_PAIRS)}
+
+def _finite_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
 
 
 class ConnectionForms:
-    """Antisymmetric frame connection Gamma_{ab} as coordinate 1-forms.
+    """Frame connection Gamma_{ab} as coordinate 1-forms.
 
-    Stored for a < b with 1-based labels; get(a, b) resolves signs.
+    forms[a, b, mu] holds Gamma_{ab} (0-based frame indices a, b; coordinate
+    index mu) and is antisymmetric in a, b; get(a, b) takes 1-based labels.
     """
 
-    def __init__(self, comps: dict):
-        self._comps = {k: np.asarray(v, dtype=np.float64) for k, v in comps.items()}
-        for a, b in _PAIRS:
-            self._comps.setdefault((a + 1, b + 1), np.zeros(4))
+    def __init__(self, forms):
+        self.forms = np.asarray(forms, dtype=np.float64)
 
     def get(self, a: int, b: int) -> np.ndarray:
-        if a == b:
-            return np.zeros(4)
-        if a < b:
-            return self._comps[(a, b)]
-        return -self._comps[(b, a)]
+        return self.forms[a - 1, b - 1]
 
     def dotted_defect(self) -> float:
         """Sup of the anti-self-dual combinations, which must vanish here."""
@@ -240,47 +245,36 @@ class ConnectionForms:
 class CartanResult:
     de: np.ndarray  # de[a, i, j], antisymmetric in i, j
     conn: ConnectionForms
-    solve_residual: float
+    solve_residual: float  # max |de^a + Gamma^a_b ^ e^b| over components
 
 
 def cartan_first(frame: TetradFrame, point, step: float = 1e-3) -> CartanResult:
-    """Solve de^a = -Gamma^a_b ^ e^b for the 24 connection components.
+    """Connection of de^a = -Gamma^a_b ^ e^b, torsion free and eta-compatible.
 
-    d is taken by central differences of the coframe; the linear system is
-    square and its lstsq residual is reported as a consistency gauge.
+    de[a, i, j] = d_i e^a_j - d_j e^a_i comes from central differences of
+    the coframe.  With E = inv(e) and eta = FRAME_METRIC (self-inverse), the
+    unique solution is the Ricci rotation coefficients:
+
+        D[a, c, d] = eta[a, b] de[b, i, j] E[i, c] E[j, d],
+        gamma[a, b, c] = (D[a, b, c] + D[b, c, a] - D[c, a, b]) / 2,
+        Gamma[a, b, mu] = gamma[a, b, c] e[c, mu],
+
+    made exactly antisymmetric in a, b.  solve_residual is the equation's
+    own residual, max |de^a + Gamma^a_b ^ e^b| over coordinate components.
     """
+    _finite_step(step)
     e = frame.at(point)
     grad = np.array([central_diff(frame.at, point, i, step) for i in range(4)])
     # grad[i, a, j] = d_i e^a_j
     de = np.transpose(grad, (1, 0, 2)) - np.transpose(grad, (1, 2, 0))
-
-    rows = []
-    rhs = []
-    for a in range(4):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                row = np.zeros(24)
-                for b in range(4):
-                    for c in range(4):
-                        eta = FRAME_METRIC[a, c]
-                        if eta == 0.0 or c == b:
-                            continue
-                        if c < b:
-                            k, sign = _PAIR_INDEX[(c, b)], 1.0
-                        else:
-                            k, sign = _PAIR_INDEX[(b, c)], -1.0
-                        row[4 * k + i] += eta * sign * e[b, j]
-                        row[4 * k + j] -= eta * sign * e[b, i]
-                rows.append(row)
-                rhs.append(-de[a, i, j])
-    mat = np.array(rows)
-    vec = np.array(rhs)
-    x, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    resid = float(np.max(np.abs(mat @ x - vec)))
-    comps = {
-        (a + 1, b + 1): x[4 * k : 4 * k + 4] for k, (a, b) in enumerate(_PAIRS)
-    }
-    return CartanResult(de=de, conn=ConnectionForms(comps), solve_residual=resid)
+    e_inv = np.linalg.inv(e)
+    low = np.einsum("ab,bij,ic,jd->acd", FRAME_METRIC, de, e_inv, e_inv)
+    gamma = 0.5 * (low + np.einsum("bca->abc", low) - np.einsum("cab->abc", low))
+    forms = np.einsum("abc,cm->abm", gamma, e)
+    forms = 0.5 * (forms - np.transpose(forms, (1, 0, 2)))
+    wedge = np.einsum("ac,cbi,bj->aij", FRAME_METRIC, forms, e)  # Gamma^a_b,i e^b_j
+    resid = float(np.max(np.abs(de + wedge - np.transpose(wedge, (0, 2, 1)))))
+    return CartanResult(de=de, conn=ConnectionForms(forms), solve_residual=resid)
 
 
 def example_connection(point) -> ConnectionForms:
@@ -297,7 +291,10 @@ def example_connection(point) -> ConnectionForms:
     ta = sa / ca
     g12 = -math.sqrt(2.0) * tq * e[2]
     g31 = -math.sqrt(2.0) * phi * (tq * e[0] + phi * ta * e[2])
-    return ConnectionForms({(1, 2): g12, (3, 4): g12.copy(), (1, 3): -g31})
+    forms = np.zeros((4, 4, 4))
+    forms[0, 1] = forms[2, 3] = g12
+    forms[2, 0] = g31
+    return ConnectionForms(forms - np.transpose(forms, (1, 0, 2)))
 
 
 def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -380,6 +377,7 @@ def weyl_sample(point, step: float = 1e-3, extracted: bool = True) -> WeylSample
     inside the numerical d (nine, the one at point giving structure_residual);
     False differentiates the closed form instead.
     """
+    _finite_step(step)
     frame = example_tetrad()
     if extracted:
         conn_fn = lambda pt: cartan_first(frame, pt, step).conn  # noqa: E731

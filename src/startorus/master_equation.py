@@ -66,8 +66,8 @@ def freq_factor(hbar: float) -> float:
     Below 1e-4 the closed form loses digits to cancellation, so a short
     even series takes over there.
     """
-    if hbar < 0:
-        raise ValueError("hbar must be >= 0")
+    if not (math.isfinite(hbar) and hbar >= 0):
+        raise ValueError("hbar must be finite and >= 0")
     if hbar < _SMALL_HBAR:
         h2 = hbar * hbar
         return 1.0 - h2 / 24.0 + h2 * h2 / 1920.0

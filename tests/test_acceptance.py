@@ -245,16 +245,15 @@ def test_criterion_6_chiral_fields():
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
     model2 = chiral_model(2)
-    pauli_gap = 0.0
-    for w in np.linspace(-1, 1, 65):
-        for z in np.linspace(-1, 1, 65):
-            want = (
-                np.cos(2 * z / np.pi) / 2j * s1
-                + w / (np.pi * 1j) * s2
-                + np.sin(2 * z / np.pi) / 2j * s3
-            )
-            gap = np.max(np.abs(model2.field_matrix(w, z) - want))
-            pauli_gap = max(pauli_gap, float(gap))
+    ws = np.linspace(-1, 1, 65)[:, None]
+    zs = np.linspace(-1, 1, 65)[None, :]
+    w, z = ws[..., None, None], zs[..., None, None]
+    want = (
+        np.cos(2 * z / np.pi) / 2j * s1
+        + w / (np.pi * 1j) * s2
+        + np.sin(2 * z / np.pi) / 2j * s3
+    )
+    pauli_gap = float(np.max(np.abs(model2.field_matrix(ws, zs) - want)))
 
     su_gap = 0.0
     orders = []

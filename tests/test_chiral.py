@@ -169,7 +169,9 @@ def test_bessel_identity_report():
 # ---------------------------------------------------------------------------
 # rank-2 closed form
 
-def pauli_field(w: float, z: float) -> np.ndarray:
+def pauli_field(w, z) -> np.ndarray:
+    w = np.asarray(w)[..., None, None]
+    z = np.asarray(z)[..., None, None]
     c = np.cos(2.0 * z / np.pi)
     s = np.sin(2.0 * z / np.pi)
     return (1.0 / 2j) * c * SIGMA1 + (w / (np.pi * 1j)) * SIGMA2 + (1.0 / 2j) * s * SIGMA3
@@ -177,11 +179,11 @@ def pauli_field(w: float, z: float) -> np.ndarray:
 
 def test_rank_two_equals_pauli_combination():
     model = chiral_model(2)
-    worst = 0.0
-    for w in np.linspace(-1.0, 1.0, 65):
-        for z in np.linspace(-1.0, 1.0, 65):
-            gap = np.max(np.abs(model.field_matrix(w, z) - pauli_field(w, z)))
-            worst = max(worst, float(gap))
+    ws = np.linspace(-1.0, 1.0, 65)[:, None]
+    zs = np.linspace(-1.0, 1.0, 65)[None, :]
+    got = model.field_matrix(ws, zs)
+    assert got.shape == (65, 65, 2, 2)
+    worst = float(np.max(np.abs(got - pauli_field(ws, zs))))
     assert worst <= 1e-9, worst
 
 

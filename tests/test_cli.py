@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,33 @@ def test_validation_errors_exit_one(capsys):
     for argv in cases:
         code, _, _ = run(capsys, *argv)
         assert code == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-me", "--h", "0"],
+        ["verify-me", "--h", "nan"],
+        ["verify-me", "--hbar", "nan"],
+        ["verify-chiral", "--h", "0"],
+        ["verify-chiral", "--h", "nan"],
+        ["verify-chiral", "--grid-w", "0:nan"],
+        ["verify-chiral", "--grid-z", "0:inf"],
+        ["curvature", "--step", "nan"],
+        ["curvature", "--step", "inf"],
+        ["curvature", "--step", "0"],
+    ],
+)
+def test_zero_or_non_finite_steps_and_hbar_exit_one(capfd, argv):
+    # the library's own finiteness check answers: one error line on the
+    # descriptor, with no traceback, numpy warning or LAPACK message first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capfd, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "finite" in err, err
 
 
 def test_contract_violation_exits_two(capsys, monkeypatch):

@@ -229,3 +229,37 @@ def test_weyl_sample_solves_nine_times_and_reports_the_centre_residual(monkeypat
     assert sample.structure_residual == direct.solve_residual
     assert sample.dotted_norm == direct.conn.dotted_defect()
     assert weyl_sample(pt, extracted=False).structure_residual == 0.0
+
+
+class _WavyFrame:
+    """Smooth coframe e[a, mu] = delta + 0.3 sin(A[a, mu] . x), not a null tetrad."""
+
+    def __init__(self, seed=11):
+        self.freq = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, 4, 4))
+
+    def at(self, point):
+        return np.eye(4) + 0.3 * np.sin(self.freq @ np.asarray(point, dtype=float))
+
+
+@pytest.mark.parametrize("frame", [_WavyFrame(), example_tetrad()], ids=["wavy", "tetrad"])
+def test_cartan_connection_of_a_generic_frame(frame):
+    # torsion free and eta-compatible, also beyond the one frame
+    # example_connection knows; exactly antisymmetric, as get(b, a) is read
+    for pt in POINTS[:5]:
+        assert np.linalg.cond(frame.at(pt)) < 1e3
+        res = cartan_first(frame, pt, step=1e-3)
+        forms = res.conn.forms
+        assert forms.shape == (4, 4, 4)
+        assert np.array_equal(forms, -np.transpose(forms, (1, 0, 2)))
+        assert np.max(np.abs(forms)) > 0.1
+        assert res.solve_residual <= 1e-12 * np.max(np.abs(res.de)), pt
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_step_that_is_not_finite_and_positive_is_rejected(step):
+    pt = POINTS[0]
+    with pytest.raises(ValueError, match="step must be finite and > 0"):
+        cartan_first(example_tetrad(), pt, step)
+    for extracted in (True, False):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            weyl_sample(pt, step=step, extracted=extracted)

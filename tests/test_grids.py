@@ -45,6 +45,18 @@ def test_regular_construction():
         SpacetimeGrid.regular({"w": (0.0, 1.0)}, 0.3)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.25, float("nan"), float("inf")])
+def test_regular_rejects_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        SpacetimeGrid.regular({"w": (0.0, 1.0)}, h)
+
+
+@pytest.mark.parametrize("span", [(0.0, float("nan")), (float("-inf"), 0.0), (0.0, float("inf"))])
+def test_regular_rejects_non_finite_span_ends(span):
+    with pytest.raises(ValueError, match="finite ends"):
+        SpacetimeGrid.regular({"w": span}, 0.25)
+
+
 def test_refined_halves_the_step():
     grid = SpacetimeGrid.regular({"w": (0.0, 1.0)}, 0.5)
     fine = grid.refined()

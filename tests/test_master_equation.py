@@ -44,6 +44,14 @@ def test_freq_factor_closed_and_series_agree():
         freq_factor(-0.1)
 
 
+@pytest.mark.parametrize("hbar", [float("nan"), float("inf")])
+def test_non_finite_hbar_is_rejected(hbar):
+    with pytest.raises(ValueError, match="hbar must be finite and >= 0"):
+        freq_factor(hbar)
+    with pytest.raises(ValueError, match="finite"):
+        example_solution(hbar)
+
+
 # ---------------------------------------------------------------------------
 # closed-form solution
 
