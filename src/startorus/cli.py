@@ -440,14 +440,14 @@ def _build_parser() -> _Parser:
 
 def _dash_value(token: str) -> bool:
     """Whether argparse would take a value for a flag of its own: a span such
-    as -1:1, or a float such as -inf, -nan or -1e-3.  Plain decimals such as
-    -2 or -0.5 are left alone, since argparse reads them as numbers."""
-    if re.match(r"-[\d.]+:", token):
-        return True
+    as -1:1 or -inf:0 whose ends float() reads, or a float such as -inf, -nan
+    or -1e-3.  Plain decimals such as -2 or -0.5 are left alone, since
+    argparse reads them as numbers."""
     if not token.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", token):
         return False
     try:
-        float(token)
+        for end in token.split(":"):
+            float(end)
     except ValueError:
         return False
     return True

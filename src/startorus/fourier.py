@@ -28,6 +28,13 @@ chosen from the operands alone:
 The FFT route is taken when |f| |g| exceeds its work estimate, i.e. for
 operands that nearly fill their bands.  Brackets are antisymmetrized after
 either route, so they stay exactly antisymmetric.
+
+The FFT route's row kernel, `_fft_rows`, works on dense coefficient windows
+(..., 2R+1, 2R+1) with any leading batch axes, so the gridded residuals of
+`master_equation` take every node's bracket in one call.  It transforms only
+the m1 rows occupied in some window of each operand and returns only the
+occupied output rows.  Its row-FFT blocks and their temporaries hold at most
+_FFT_BATCH complex entries counted over the batch axes (16 MB).
 """
 
 from __future__ import annotations
@@ -304,35 +311,73 @@ def _sparse_pairwise(f: FourierField, g: FourierField, closed, prune: float) -> 
     return FourierField(out_modes, vals, prune)
 
 
-def _fft_pairwise(f: FourierField, g: FourierField, split, prune: float) -> FourierField:
-    """FFT route, in the mixed representation (rows over m1, transform over m2).
+def _occupied_rows(windows: np.ndarray) -> slice:
+    """Smallest range of m1 rows (second-to-last axis) holding every nonzero
+    entry of the windows, over all leading axes; empty if there is none."""
+    rows = np.flatnonzero(windows.reshape((-1,) + windows.shape[-2:]).any(axis=0).any(axis=1))
+    return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
 
-    For w = sum u(m1 n2) v(m2 n1), a row pair (m1, n1) adds to output row
-    m1 + n1 the convolution along the second mode axis of f[m1, .] v(. n1)
-    with g[n1, .] u(m1 .).  Each is a product of two zero-padded FFTs of a
+
+def _fft_rows(fw: np.ndarray, gw: np.ndarray, split):
+    """Row kernel of the FFT route: sum_{m,n} w(m x n) f_m g_n on modes m + n
+    for every window pair at once, in the mixed representation (rows over m1,
+    transform over m2).
+
+    fw (..., 2Rf+1, 2Rf+1) and gw (..., 2Rg+1, 2Rg+1) hold c_m at
+    [..., R+m1, R+m2] and share their leading batch axes.  For
+    w = sum u(m1 n2) v(m2 n1), a row pair (m1, n1) adds to output row m1 + n1
+    the convolution along the second mode axis of f[m1, .] v(. n1) with
+    g[n1, .] u(m1 .).  Each is a product of two zero-padded FFTs of a
     2*3*5-smooth length >= 2(Rf + Rg) + 1; products are summed per output row
-    and inverted once per row, O(Rf Rg (Rf + Rg) log) in all.  Temporaries
-    beyond the two windows and the output hold at most _FFT_BATCH entries.
+    and inverted once per row, O(Rf Rg (Rf + Rg) log) per window pair.  Only
+    the m1 rows occupied in some window of each operand (`_occupied_rows`)
+    are transformed.  The row blocks and their temporaries hold at most
+    _FFT_BATCH entries counted over the batch axes, or one row pair of one
+    window pair; a batch too large for one block is split, which leaves each
+    window pair's arithmetic, and so its result, unchanged.
+
+    Returns (first, out): out[..., k, c] is the coefficient on mode
+    (first + k, c - Rf - Rg), over the occupied output rows only.
     """
-    rf, rg = f.band_limit, g.band_limit
-    fw, gw = f.window(rf), g.window(rg)
-    m, n = np.arange(-rf, rf + 1), np.arange(-rg, rg + 1)
+    rf, rg = (fw.shape[-1] - 1) // 2, (gw.shape[-1] - 1) // 2
+    batch = fw.shape[:-2]
     side = 2 * (rf + rg) + 1
+    fr, gr = _occupied_rows(fw), _occupied_rows(gw)
+    first = fr.start + gr.start - rf - rg
+    nf, ng = fr.stop - fr.start, gr.stop - gr.start
+    if nf == 0 or ng == 0:
+        return first, np.zeros(batch + (0, side), dtype=np.complex128)
+    fw = fw.reshape((-1,) + fw.shape[-2:])[:, fr]
+    gw = gw.reshape((-1,) + gw.shape[-2:])[:, gr]
+    m1, n1 = np.arange(fr.start - rf, fr.stop - rf), np.arange(gr.start - rg, gr.stop - rg)
+    m2, n2 = np.arange(-rf, rf + 1), np.arange(-rg, rg + 1)
     length = _fft_length(side)
-    cols = min(2 * rg + 1, max(1, _FFT_BATCH // length))  # g rows per batch
-    rows = max(1, _FFT_BATCH // (cols * length))  # f rows per batch
-    acc = np.zeros((side, length), dtype=np.complex128)
+    cols = min(ng, max(1, _FFT_BATCH // length))  # g rows per block
+    rows = max(1, _FFT_BATCH // (cols * length))  # f rows per block
+    nodes = max(1, _FFT_BATCH // (min(rows, nf) * cols * length))  # windows per block
+    acc = np.zeros((len(fw), nf + ng - 1, length), dtype=np.complex128)
     for u, v in split:
-        fv = v(np.multiply.outer(n, m))  # [n1, m2]
-        gu = u(np.multiply.outer(m, n))  # [m1, n2]
-        for i in range(0, 2 * rf + 1, rows):
-            for j in range(0, 2 * rg + 1, cols):
-                fi, gj = slice(i, i + rows), slice(j, j + cols)
-                part = np.fft.fft(fw[fi, None] * fv[None, gj], length)
-                part *= np.fft.fft(gw[None, gj] * gu[fi, None], length)
-                for k, block in enumerate(part, start=i + j):
-                    acc[k : k + len(block)] += block
-    return FourierField.from_window(np.fft.ifft(acc)[:, :side], prune)
+        fv = v(np.multiply.outer(n1, m2))  # [n1, m2]
+        gu = u(np.multiply.outer(m1, n2))  # [m1, n2]
+        for b in range(0, len(fw), nodes):
+            at = slice(b, b + nodes)
+            out = acc[at]
+            for i in range(0, nf, rows):
+                for j in range(0, ng, cols):
+                    fi, gj = slice(i, i + rows), slice(j, j + cols)
+                    part = np.fft.fft(fw[at, fi, None] * fv[gj], length)
+                    part *= np.fft.fft(gw[at, None, gj] * gu[fi, None], length)
+                    for k in range(part.shape[1]):
+                        out[:, i + j + k : i + j + k + part.shape[2]] += part[:, k]
+    return first, np.fft.ifft(acc)[..., :side].reshape(batch + (nf + ng - 1, side))
+
+
+def _fft_pairwise(f: FourierField, g: FourierField, split, prune: float) -> FourierField:
+    """FFT route: `_fft_rows` on the two windows, with no batch axes."""
+    rf, rg = f.band_limit, g.band_limit
+    first, out = _fft_rows(f.window(rf), g.window(rg), split)
+    modes = np.indices(out.shape).reshape(2, -1).T + (first, -rf - rg)
+    return FourierField(modes, out.ravel(), prune)
 
 
 def _pairwise(f: FourierField, g: FourierField, weight: _Weight, prune: float) -> FourierField:

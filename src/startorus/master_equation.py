@@ -31,8 +31,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import (
+    _POISSON_WEIGHT,
     DEFAULT_PRUNE,
     FourierField,
+    _fft_rows,
+    _moyal_weight,
+    _occupied_rows,
     fft_project,
     moyal_bracket,
     poisson_bracket,
@@ -333,17 +337,28 @@ def _report(per_point: np.ndarray, steps: dict, hbar: float, label: str) -> Resi
 
 def _bracket_residual(field, label, linear, left, right, weight=1.0) -> ResidualReport:
     """Per-node l2 norm of linear + weight {left, right}_hbar, all three band-R
-    mode tensors on the interior nodes and weight a scalar or per node.  The
-    bracket is taken node by node on sparse fields; it fills the band-2R window."""
+    mode tensors on the interior nodes and weight a scalar or per node.
+
+    Every node's bracket is taken at once as (P(left, right) - P(right, left))/2,
+    P the FFT route's row kernel `fourier._fft_rows` with the split weight of
+    `moyal_bracket` (or `poisson_bracket` at hbar = 0).  Only the m1 rows
+    occupied by the bracket or the linear term are formed, so no node's
+    band-2R window is built."""
     band = (linear.shape[-1] - 1) // 2
-    inner = slice(band, 3 * band + 1)
-    weight = np.broadcast_to(weight, linear.shape[:-2])
-    per = np.zeros(weight.shape)
-    for idx in np.ndindex(per.shape):
-        f, g = (FourierField.from_window(t[idx]) for t in (left, right))
-        res = weight[idx] * _bracket(f, g, field.hbar).window(2 * band)
-        res[inner, inner] += linear[idx]
-        per[idx] = np.sqrt(np.sum(np.abs(res) ** 2))
+    split = (_POISSON_WEIGHT if field.hbar == 0 else _moyal_weight(field.hbar)).split
+    first, fg = _fft_rows(left, right, split)
+    _, gf = _fft_rows(right, left, split)
+    rows = _occupied_rows(linear)
+    lin = (rows.start - band, rows.stop - band)  # m1 range of the linear term
+    spans = [s for s in ((first, first + fg.shape[-2]), lin) if s[0] < s[1]]
+    lo = min((s[0] for s in spans), default=0)
+    hi = max((s[1] for s in spans), default=0)
+    res = np.zeros(linear.shape[:-2] + (hi - lo, 4 * band + 1), dtype=np.complex128)
+    res[..., first - lo : first - lo + fg.shape[-2], :] = np.asarray(weight)[..., None, None] * (
+        0.5 * (fg - gf)
+    )
+    res[..., lin[0] - lo : lin[1] - lo, band : 3 * band + 1] += linear[..., rows, :]
+    per = np.sqrt(np.sum(np.abs(res) ** 2, axis=(-2, -1)))
     return _report(per, field.grid.steps, field.hbar, label)
 
 

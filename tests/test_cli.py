@@ -210,6 +210,11 @@ def test_span_value_after_flag_is_joined_only_after_long_flags():
     assert cli._join_span_values(argv) == [
         "verify-chiral", "--grid-w=-1:-0.5", "--grid-z=-1:1", "--h", "-0.25", "--", "-1:1"
     ]
+    # a span is joined when float() reads both its ends, infinite or not
+    argv = ["verify-chiral", "--grid-z", "-inf:0", "--grid-w", "-nan:1", "--grid-w", "-1:x"]
+    assert cli._join_span_values(argv) == [
+        "verify-chiral", "--grid-z=-inf:0", "--grid-w=-nan:1", "--grid-w", "-1:x"
+    ]
     # floats argparse does not read as negative numbers are joined too; a
     # plain decimal or a flag such as -h is not
     argv = ["solve", "--hbar", "-inf", "--w", "-1e-3", "--z", "-nan", "--terms", "-2",
@@ -266,6 +271,8 @@ def test_validation_errors_exit_one(capsys):
         ["verify-chiral", "--h", "nan"],
         ["verify-chiral", "--grid-w", "0:nan"],
         ["verify-chiral", "--grid-z", "0:inf"],
+        ["verify-chiral", "--grid-z", "-inf:0"],
+        ["verify-chiral", "--grid-w", "-nan:1"],
         ["curvature", "--step", "nan"],
         ["curvature", "--step", "inf"],
         ["curvature", "--step", "0"],

@@ -379,6 +379,56 @@ def test_fft_route_row_batches_agree_with_one_batch(monkeypatch):
     assert (batched - whole).max_abs_coeff() <= 1e-14 * whole.max_abs_coeff()
 
 
+def per_row_fft_pairwise(f: FourierField, g: FourierField, split) -> FourierField:
+    """The FFT route as a loop over row blocks of two full windows, frozen
+    from before the route shared its kernel with the gridded residuals."""
+    rf, rg = f.band_limit, g.band_limit
+    fw, gw = f.window(rf), g.window(rg)
+    m, n = np.arange(-rf, rf + 1), np.arange(-rg, rg + 1)
+    side = 2 * (rf + rg) + 1
+    length = fourier._fft_length(side)
+    cols = min(2 * rg + 1, max(1, fourier._FFT_BATCH // length))
+    rows = max(1, fourier._FFT_BATCH // (cols * length))
+    acc = np.zeros((side, length), dtype=np.complex128)
+    for u, v in split:
+        fv = v(np.multiply.outer(n, m))
+        gu = u(np.multiply.outer(m, n))
+        for i in range(0, 2 * rf + 1, rows):
+            for j in range(0, 2 * rg + 1, cols):
+                fi, gj = slice(i, i + rows), slice(j, j + cols)
+                part = np.fft.fft(fw[fi, None] * fv[None, gj], length)
+                part *= np.fft.fft(gw[None, gj] * gu[fi, None], length)
+                for k, block in enumerate(part, start=i + j):
+                    acc[k : k + len(block)] += block
+    return FourierField.from_window(np.fft.ifft(acc)[:, :side], 0.0)
+
+
+@pytest.mark.parametrize("bands", [(5, 5), (8, 7), (13, 12)])
+def test_fft_route_is_bit_identical_to_per_row_loop(bands):
+    rng = np.random.default_rng(58 + bands[0])
+    f, g = (dense_field(rng, band) for band in bands)
+    for name, weight in route_weights(2 * np.pi / 12).items():
+        got = fourier._fft_pairwise(f, g, weight.split, 0.0)
+        want = per_row_fft_pairwise(f, g, weight.split)
+        assert np.array_equal(got.modes, want.modes), name
+        assert np.array_equal(got.coeffs, want.coeffs), name
+
+
+def test_fft_rows_keeps_only_occupied_rows():
+    # rows m1 in {-2, 1} of a band-4 f and m1 = 3 of a band-3 g give output
+    # rows 1..4 only; the trimmed kernel agrees with the sparse route
+    rng = np.random.default_rng(59)
+    f = FourierField.from_dict({(-2, 4): 1.0 + 0.5j, (1, -3): -0.7, (0, 2): 0.3j})
+    g = FourierField.from_dict({(3, k): complex(*rng.normal(size=2)) for k in range(-3, 4)})
+    weight = fourier._moyal_weight(0.5)
+    first, out = fourier._fft_rows(f.window(4), g.window(3), weight.split)
+    assert (first, out.shape) == (1, (4, 15))
+    want = fourier._sparse_pairwise(f, g, weight.closed, 0.0).window(7)[8:12]
+    assert np.max(np.abs(out - want)) <= 1e-15 * np.max(np.abs(want))
+    _, out = fourier._fft_rows(np.zeros((2, 9, 9)), np.ones((2, 7, 7)), weight.split)
+    assert out.shape == (2, 0, 15)
+
+
 def test_fft_length_is_smooth():
     assert [fourier._fft_length(n) for n in (1, 7, 13, 51, 97, 129)] == [1, 8, 15, 54, 100, 135]
 

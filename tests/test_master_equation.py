@@ -22,6 +22,9 @@ from startorus import (
     residual_moyal_hp,
     richardson_order,
 )
+from startorus.numerics import grid_diff2
+
+
 def conv(a: dict, b: dict) -> dict:
     out: dict = {}
     for m, ca in a.items():
@@ -323,6 +326,71 @@ def test_hp_residual_equals_per_node_reference(hbar):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
 
 
+def assert_matches_per_node(field):
+    got = residual_moyal_hp(field).per_point
+    want, scale = per_node_moyal_hp(field)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+    return got
+
+
+def hp_test_field(hbar, band=8):
+    sol = example_solution(hbar)
+    grid = SpacetimeGrid({"w": np.linspace(-0.3, 0.3, 4), "z": np.arange(0.1, 0.5001, 0.1)})
+    return sol.gridded(grid, band_limit=band)
+
+
+@pytest.mark.parametrize("hbar", [2 * np.pi / 5, 0.0])
+@pytest.mark.parametrize("w_free", [False, True])
+def test_hp_residual_on_partly_occupied_asymmetric_rows(hbar, w_free):
+    # z^2 cos(3p + q) reaches only d_z Theta, at rows m1 = +-3, and w z E_(2,-1)
+    # adds row 2 to d_w Theta, so the operands fill rows 0..2 and -3..3 of a
+    # band-8 window and the bracket rows -3..5, past the linear term's -3..3.
+    # Without the solution's -w sin q (w_free), d_w Theta sits on row 2 alone
+    # and the bracket on rows -1..5, short of the linear term's rows -3, -2.
+    field = hp_test_field(hbar)
+    band = 8
+    w = field.grid.axis("w")[:, None]
+    z = field.grid.axis("z")[None, :]
+    values = field.values.copy()
+    if w_free:
+        values[:] = values[1]
+    values[..., band + 3, band + 1] += 0.5 * z**2
+    values[..., band - 3, band - 1] += 0.5 * z**2
+    values[..., band + 2, band - 1] += 0.1 * w * z
+    assert_matches_per_node(GriddedFourierField(field.grid, values, hbar))
+
+
+def test_hp_residual_of_a_w_independent_field_is_its_linear_term():
+    # d_w Theta is exactly zero, so the bracket is empty
+    field = hp_test_field(2 * np.pi / 5)
+    values = np.broadcast_to(field.values[1:2], field.values.shape)
+    flat = GriddedFourierField(field.grid, values, field.hbar)
+    got = assert_matches_per_node(flat)
+    linear = grid_diff2(values, field.grid, "w") + grid_diff2(values, field.grid, "z")
+    assert np.array_equal(got, np.sqrt(np.sum(np.abs(linear) ** 2, axis=(-2, -1))))
+
+
+def test_hp_residual_node_blocks_agree_with_one_block(monkeypatch):
+    from startorus import fourier
+
+    field = hp_test_field(2 * np.pi / 5, band=12)
+    whole = assert_matches_per_node(field)
+    transforms = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: transforms.append(1) or fft(*a, **k))
+    assert np.array_equal(residual_moyal_hp(field).per_point, whole)
+    one_block = len(transforms)
+    # d_w Theta fills row m1 = 0 and d_z Theta rows -1..1, so each node's
+    # bracket is 3 row pairs of FFT length 50.  A budget of two nodes' worth
+    # splits the 6 interior nodes into 3 blocks and keeps the row blocks.
+    monkeypatch.setattr(fourier, "_FFT_BATCH", 2 * 3 * fourier._fft_length(49))
+    transforms.clear()
+    split = residual_moyal_hp(field).per_point
+    assert len(transforms) == 3 * one_block
+    assert np.array_equal(split, whole)
+
+
 def test_hp_residual_flags_a_non_solution():
     # adding 0.1 z^2 sin p leaves a residual that refinement cannot remove
     hbar = 2 * np.pi / 5
@@ -457,11 +525,10 @@ def test_kahler_background_construction():
         KahlerBackground()
 
 
-def per_node_kahler(field, background):
-    """Doubled Kahler residual per node over sparse fields, as reference."""
+def node_stencils(field):
+    """First, second and mixed differences at one node, over sparse fields."""
     grid = field.grid
     h = [grid.steps[name] for name in grid.names]
-    inner = tuple(s - 2 for s in grid.shape)
 
     def v(index, *shifts):
         index = list(index)
@@ -481,6 +548,14 @@ def per_node_kahler(field, background):
             - v(i, (a, -1), (b, 1)) + v(i, (a, -1), (b, -1))
         )
 
+    return d1, d2, cross
+
+
+def per_node_kahler(field, background):
+    """Doubled Kahler residual per node over sparse fields, as reference."""
+    grid = field.grid
+    inner = tuple(s - 2 for s in grid.shape)
+    d1, d2, cross = node_stencils(field)
     per = np.zeros(inner)
     for idx in np.ndindex(inner):
         i = tuple(a + 1 for a in idx)
@@ -527,6 +602,49 @@ def test_kahler_residual_equals_per_node_reference():
     want = per_node_kahler(field, background)
     assert got.shape == (1, 2, 2, 1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def per_node_flat(field):
+    """Flat doubled residual per node over sparse fields, as reference, and
+    the largest l2 norm of the terms that cancel in it."""
+    inner = tuple(s - 2 for s in field.grid.shape)
+    d1, _, cross = node_stencils(field)
+    per = np.zeros(inner)
+    scale = 0.0
+    for idx in np.ndindex(inner):
+        i = tuple(a + 1 for a in idx)
+        linear = cross(i, 0, 2) + cross(i, 1, 3)
+        bracket = per_node_bracket(d1(i, 0), d1(i, 1), field.hbar)
+        per[idx] = (linear + bracket).l2_norm()
+        scale = max(scale, linear.l2_norm() + bracket.l2_norm())
+    return per, scale
+
+
+@pytest.mark.parametrize("hbar", [2 * np.pi / 6, 0.0])
+def test_flat_residual_equals_per_node_reference(hbar):
+    sol = example_solution(hbar)
+    grid = SpacetimeGrid(
+        {
+            "w": np.linspace(0.0, 0.2, 3),
+            "z": np.linspace(0.2, 0.4, 4),
+            "wt": np.linspace(-0.1, 0.1, 4),
+            "zt": np.linspace(0.1, 0.3, 3),
+        }
+    )
+
+    def vals(point, P, Q):
+        # not a solution: every pair of axes mixes, so each mixed stencil and
+        # both bracket operands show in the residual
+        w, z, wt, zt = point
+        mixed = (wt * z + 0.5 * wt * zt + 0.7 * w * zt + w * z) * np.cos(P + Q + 0.3)
+        return sol.evaluate(w + 0.4 * wt * z, z + zt + 0.3 * w * zt, P, Q) + mixed
+
+    field = GriddedFourierField.sample(grid, vals, 8, hbar, torus_n=24)
+    got = residual_me_flat(field).per_point
+    want, scale = per_node_flat(field)
+    assert got.shape == (1, 2, 2, 1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_degenerate_metric_aborts_with_location():
