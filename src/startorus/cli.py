@@ -25,7 +25,7 @@ from .chiral import (
     residual_chiral,
 )
 from .fourier import FourierField, moyal_bracket, poisson_bracket, star_product
-from .geometry import admissible_points, weyl_sample
+from .geometry import admissible_points, weyl_report
 from .grids import SpacetimeGrid
 from .master_equation import (
     example_cauchy_data,
@@ -303,13 +303,12 @@ def cmd_curvature(args) -> int:
     )
     if p["points"] < 1:
         raise ValueError("points must be >= 1")
-    rows = []
-    for pt in admissible_points(p["points"], seed=p["seed"]):
-        sample = weyl_sample(pt, step=p["step"], extracted=True)
-        rows.append(
-            list(pt)
-            + [sample.c1_estimate, 0.0, sample.dotted_norm, sample.structure_residual]
-        )
+    points = admissible_points(p["points"], seed=p["seed"])
+    report = weyl_report(points, step=p["step"], extracted=True)
+    rows = [
+        list(pt) + [s.c1_estimate, 0.0, s.dotted_norm, s.structure_residual]
+        for pt, s in zip(points, report.samples)
+    ]
     header = ["w", "z", "p", "q", "C1_re", "C1_im", "dotted_norm", "structure_residual"]
     _emit(_csv(header, rows), args.out)
     return 0

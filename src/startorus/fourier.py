@@ -318,7 +318,7 @@ def _occupied_rows(windows: np.ndarray) -> slice:
     return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
 
 
-def _fft_rows(fw: np.ndarray, gw: np.ndarray, split):
+def _fft_rows(fw: np.ndarray, gw: np.ndarray, split, fr: slice = None, gr: slice = None):
     """Row kernel of the FFT route: sum_{m,n} w(m x n) f_m g_n on modes m + n
     for every window pair at once, in the mixed representation (rows over m1,
     transform over m2).
@@ -330,11 +330,12 @@ def _fft_rows(fw: np.ndarray, gw: np.ndarray, split):
     g[n1, .] u(m1 .).  Each is a product of two zero-padded FFTs of a
     2*3*5-smooth length >= 2(Rf + Rg) + 1; products are summed per output row
     and inverted once per row, O(Rf Rg (Rf + Rg) log) per window pair.  Only
-    the m1 rows occupied in some window of each operand (`_occupied_rows`)
-    are transformed.  The row blocks and their temporaries hold at most
-    _FFT_BATCH entries counted over the batch axes, or one row pair of one
-    window pair; a batch too large for one block is split, which leaves each
-    window pair's arithmetic, and so its result, unchanged.
+    the m1 rows occupied in some window of each operand are transformed: the
+    window rows fr and gr when given, else those `_occupied_rows` finds.  The
+    row blocks and their temporaries hold at most _FFT_BATCH entries counted
+    over the batch axes, or one row pair of one window pair; a batch too
+    large for one block is split, which leaves each window pair's
+    arithmetic, and so its result, unchanged.
 
     Returns (first, out): out[..., k, c] is the coefficient on mode
     (first + k, c - Rf - Rg), over the occupied output rows only.
@@ -342,7 +343,8 @@ def _fft_rows(fw: np.ndarray, gw: np.ndarray, split):
     rf, rg = (fw.shape[-1] - 1) // 2, (gw.shape[-1] - 1) // 2
     batch = fw.shape[:-2]
     side = 2 * (rf + rg) + 1
-    fr, gr = _occupied_rows(fw), _occupied_rows(gw)
+    fr = _occupied_rows(fw) if fr is None else fr
+    gr = _occupied_rows(gw) if gr is None else gr
     first = fr.start + gr.start - rf - rg
     nf, ng = fr.stop - fr.start, gr.stop - gr.start
     if nf == 0 or ng == 0:
@@ -372,10 +374,16 @@ def _fft_rows(fw: np.ndarray, gw: np.ndarray, split):
     return first, np.fft.ifft(acc)[..., :side].reshape(batch + (nf + ng - 1, side))
 
 
+def _mode_rows(f: FourierField, band_limit: int) -> slice:
+    """Window rows of f's first to last m1, read off its sorted, nonzero modes."""
+    return slice(int(f.modes[0, 0]) + band_limit, int(f.modes[-1, 0]) + band_limit + 1)
+
+
 def _fft_pairwise(f: FourierField, g: FourierField, split, prune: float) -> FourierField:
-    """FFT route: `_fft_rows` on the two windows, with no batch axes."""
+    """FFT route: `_fft_rows` on the two windows of nonempty f and g, with no
+    batch axes; the occupied rows come from the modes, not a window scan."""
     rf, rg = f.band_limit, g.band_limit
-    first, out = _fft_rows(f.window(rf), g.window(rg), split)
+    first, out = _fft_rows(f.window(rf), g.window(rg), split, _mode_rows(f, rf), _mode_rows(g, rg))
     modes = np.indices(out.shape).reshape(2, -1).T + (first, -rf - rg)
     return FourierField(modes, out.ravel(), prune)
 

@@ -21,13 +21,21 @@ residual max |de^a + Gamma^a_b ^ e^b| is the `structure_residual` a
 the self-dual half carries a single curvature component C1, putting the
 geometry in the one-repeated-null-direction class.  A coordinate change
 u = sin q, v = sin(arg) exhibits the same metric as a plane-fronted wave.
+
+Curvature is computed for all points at once.  `weyl_report` evaluates the
+coframe on every node of the nested central-difference stencils, shape
+(K, 9, 9, 4): each point, its 8 neighbours at +-step, and theirs.  One
+Cartan solve, written on leading batch axes with stacked matmuls, gives the
+connection at all K * 9 stencil centres, and one more central difference of
+the stacked undotted triples gives the self-dual curvature.  `cartan_first`
+is the same solve at one point for any frame with an `at(point)` method.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -65,11 +73,12 @@ _BRANCH_TOL = 1e-4
 
 
 def _trig(point):
-    w, z, p, q = point
-    cq = math.cos(q)
-    sq = math.sin(q)
+    """cos q, sin q, cos arg, sin arg at points (..., 4)."""
+    w, z, p, q = np.moveaxis(np.asarray(point, dtype=np.float64), -1, 0)
+    cq = np.cos(q)
+    sq = np.sin(q)
     arg = z * cq + p
-    return cq, sq, math.cos(arg), math.sin(arg)
+    return cq, sq, np.cos(arg), np.sin(arg)
 
 
 @dataclass
@@ -165,19 +174,28 @@ class TetradFrame:
         return cq / ca
 
     def at(self, point) -> np.ndarray:
+        """Coframe (..., 4, 4) at points (..., 4); raises at the first point,
+        in C order, on a branch locus."""
+        point = np.asarray(point, dtype=np.float64)
         cq, sq, ca, _ = _trig(point)
-        if abs(cq) < _BRANCH_TOL or abs(ca) < _BRANCH_TOL:
+        bad = (np.abs(cq) < _BRANCH_TOL) | (np.abs(ca) < _BRANCH_TOL)
+        if np.any(bad):
+            first = point[np.unravel_index(np.argmax(bad), bad.shape)]
             raise SingularMetricError(
-                "tetrad hits a branch locus", location=tuple(point)
+                "tetrad hits a branch locus", location=tuple(float(v) for v in first)
             )
-        z = point[1]
+        z = point[..., 1]
         r = 1.0 / math.sqrt(2.0)
         phi = cq / ca
-        e = np.zeros((4, 4))
-        e[0] = r / phi * np.array([0.0, cq, 1.0, -z * sq])
-        e[1] = r * np.array([0.0, 0.0, -1.0, z * sq])
-        e[2] = np.array([0.0, 0.0, 0.0, -r])
-        e[3] = r * np.array([cq, 0.0, 0.0, phi])
+        e = np.zeros(point.shape[:-1] + (4, 4))
+        e[..., 0, 1] = r / phi * cq
+        e[..., 0, 2] = r / phi
+        e[..., 0, 3] = r / phi * (-z * sq)
+        e[..., 1, 2] = -r
+        e[..., 1, 3] = r * (z * sq)
+        e[..., 2, 3] = -r
+        e[..., 3, 0] = r * cq
+        e[..., 3, 3] = r * phi
         return e
 
 
@@ -210,34 +228,51 @@ def _finite_step(step: float) -> None:
         raise ValueError(f"step must be finite and > 0, got {step!r}")
 
 
+def _stencil(points, step: float) -> np.ndarray:
+    """Central-difference nodes (..., 9, 4) of points (..., 4): the point
+    itself, then +step and -step along each coordinate in turn."""
+    offsets = np.zeros((9, 4))
+    for i in range(4):
+        offsets[1 + 2 * i, i] = step
+        offsets[2 + 2 * i, i] = -step
+    return np.asarray(points, dtype=np.float64)[..., None, :] + offsets
+
+
+def _stencil_diff(values: np.ndarray, step: float) -> np.ndarray:
+    """Central differences (..., 4, m, n) of values (..., 9, m, n) on `_stencil` nodes."""
+    return (values[..., 1::2, :, :] - values[..., 2::2, :, :]) / (2.0 * step)
+
+
 class ConnectionForms:
     """Frame connection Gamma_{ab} as coordinate 1-forms.
 
-    forms[a, b, mu] holds Gamma_{ab} (0-based frame indices a, b; coordinate
-    index mu) and is antisymmetric in a, b; get(a, b) takes 1-based labels.
+    forms[..., a, b, mu] holds Gamma_{ab} (0-based frame indices a, b;
+    coordinate index mu; any leading batch axes) and is antisymmetric in
+    a, b; get(a, b) takes 1-based labels.
     """
 
     def __init__(self, forms):
         self.forms = np.asarray(forms, dtype=np.float64)
 
     def get(self, a: int, b: int) -> np.ndarray:
-        return self.forms[a - 1, b - 1]
+        return self.forms[..., a - 1, b - 1, :]
+
+    def dotted_norms(self) -> np.ndarray:
+        """Sup of the anti-self-dual combinations, which must vanish here,
+        per batch entry."""
+        combos = np.stack(
+            [self.get(4, 1), 0.5 * (self.get(3, 4) - self.get(1, 2)), self.get(3, 2)], axis=-2
+        )
+        return np.max(np.abs(combos), axis=(-2, -1))
 
     def dotted_defect(self) -> float:
-        """Sup of the anti-self-dual combinations, which must vanish here."""
-        combos = [
-            self.get(4, 1),
-            0.5 * (self.get(3, 4) - self.get(1, 2)),
-            self.get(3, 2),
-        ]
-        return float(max(np.max(np.abs(c)) for c in combos))
+        """Largest of the `dotted_norms`."""
+        return float(np.max(self.dotted_norms()))
 
-    def undotted(self):
-        """(Gamma_42, (Gamma_12 + Gamma_34)/2, Gamma_31) as 1-forms."""
-        return (
-            self.get(4, 2),
-            0.5 * (self.get(1, 2) + self.get(3, 4)),
-            self.get(3, 1),
+    def undotted(self) -> np.ndarray:
+        """(Gamma_42, (Gamma_12 + Gamma_34)/2, Gamma_31) as 1-forms, (..., 3, 4)."""
+        return np.stack(
+            [self.get(4, 2), 0.5 * (self.get(1, 2) + self.get(3, 4)), self.get(3, 1)], axis=-2
         )
 
 
@@ -248,14 +283,40 @@ class CartanResult:
     solve_residual: float  # max |de^a + Gamma^a_b ^ e^b| over components
 
 
+def _eta(x: np.ndarray) -> np.ndarray:
+    """FRAME_METRIC contracted with the first of x's three trailing axes."""
+    return (FRAME_METRIC @ x.reshape(x.shape[:-2] + (-1,))).reshape(x.shape)
+
+
+def _cartan(frames: np.ndarray, step: float):
+    """Cartan solve at the centre of every stencil of frames (..., 9, 4, 4).
+
+    Returns (de, forms, residual), shaped (..., 4, 4, 4), (..., 4, 4, 4) and
+    (...).  Every contraction is an elementwise product or a stacked matmul,
+    so each centre gets the arithmetic of a lone one, to the bit.
+    """
+    e = frames[..., 0, :, :]
+    grad = _stencil_diff(frames, step)  # grad[..., i, a, j] = d_i e^a_j
+    de = np.swapaxes(grad, -3, -2) - np.moveaxis(grad, -3, -1)
+    e_inv = np.linalg.inv(e)[..., None, :, :]
+    low = np.swapaxes(e_inv, -1, -2) @ _eta(de) @ e_inv  # D[a] = E^T (eta de)[a] E
+    gamma = 0.5 * (low + np.moveaxis(low, -1, -3) - np.moveaxis(low, -3, -1))
+    forms = gamma @ e[..., None, :, :]
+    forms = 0.5 * (forms - np.swapaxes(forms, -3, -2))
+    wedge = np.swapaxes(_eta(forms), -1, -2) @ e[..., None, :, :]  # Gamma^a_b,i e^b_j
+    resid = np.max(np.abs(de + wedge - np.swapaxes(wedge, -1, -2)), axis=(-3, -2, -1))
+    return de, forms, resid
+
+
 def cartan_first(frame: TetradFrame, point, step: float = 1e-3) -> CartanResult:
     """Connection of de^a = -Gamma^a_b ^ e^b, torsion free and eta-compatible.
 
     de[a, i, j] = d_i e^a_j - d_j e^a_i comes from central differences of
-    the coframe.  With E = inv(e) and eta = FRAME_METRIC (self-inverse), the
-    unique solution is the Ricci rotation coefficients:
+    the coframe, frame.at(node) on each `_stencil` node.  With E = inv(e)
+    and eta = FRAME_METRIC (self-inverse), the unique solution is the Ricci
+    rotation coefficients:
 
-        D[a, c, d] = eta[a, b] de[b, i, j] E[i, c] E[j, d],
+        D[a] = E^T (eta de)[a] E,
         gamma[a, b, c] = (D[a, b, c] + D[b, c, a] - D[c, a, b]) / 2,
         Gamma[a, b, mu] = gamma[a, b, c] e[c, mu],
 
@@ -263,49 +324,40 @@ def cartan_first(frame: TetradFrame, point, step: float = 1e-3) -> CartanResult:
     own residual, max |de^a + Gamma^a_b ^ e^b| over coordinate components.
     """
     _finite_step(step)
-    e = frame.at(point)
-    grad = np.array([central_diff(frame.at, point, i, step) for i in range(4)])
-    # grad[i, a, j] = d_i e^a_j
-    de = np.transpose(grad, (1, 0, 2)) - np.transpose(grad, (1, 2, 0))
-    e_inv = np.linalg.inv(e)
-    low = np.einsum("ab,bij,ic,jd->acd", FRAME_METRIC, de, e_inv, e_inv)
-    gamma = 0.5 * (low + np.einsum("bca->abc", low) - np.einsum("cab->abc", low))
-    forms = np.einsum("abc,cm->abm", gamma, e)
-    forms = 0.5 * (forms - np.transpose(forms, (1, 0, 2)))
-    wedge = np.einsum("ac,cbi,bj->aij", FRAME_METRIC, forms, e)  # Gamma^a_b,i e^b_j
-    resid = float(np.max(np.abs(de + wedge - np.transpose(wedge, (0, 2, 1)))))
-    return CartanResult(de=de, conn=ConnectionForms(forms), solve_residual=resid)
+    frames = np.array([frame.at(node) for node in _stencil(point, step)])
+    de, forms, resid = _cartan(frames, step)
+    return CartanResult(de=de, conn=ConnectionForms(forms), solve_residual=float(resid))
 
 
 def example_connection(point) -> ConnectionForms:
-    """Closed-form connection of the example coframe.
+    """Closed-form connection of the example coframe at points (..., 4).
 
     Gamma_12 = Gamma_34 = -sqrt(2) tan q e^3 and
     Gamma_31 = -sqrt(2) Phi [tan q e^1 + Phi tan(arg) e^3]; the rest vanish.
     """
-    frame = example_tetrad()
-    e = frame.at(point)
-    cq, sq, ca, sa = _trig(point)
+    e = example_tetrad().at(point)
+    cq, sq, ca, sa = (t[..., None] for t in _trig(point))
     phi = cq / ca
     tq = sq / cq
     ta = sa / ca
-    g12 = -math.sqrt(2.0) * tq * e[2]
-    g31 = -math.sqrt(2.0) * phi * (tq * e[0] + phi * ta * e[2])
-    forms = np.zeros((4, 4, 4))
-    forms[0, 1] = forms[2, 3] = g12
-    forms[2, 0] = g31
-    return ConnectionForms(forms - np.transpose(forms, (1, 0, 2)))
+    g12 = -math.sqrt(2.0) * tq * e[..., 2, :]
+    g31 = -math.sqrt(2.0) * phi * (tq * e[..., 0, :] + phi * ta * e[..., 2, :])
+    forms = np.zeros(e.shape[:-2] + (4, 4, 4))
+    forms[..., 0, 1, :] = forms[..., 2, 3, :] = g12
+    forms[..., 2, 0, :] = g31
+    return ConnectionForms(forms - np.swapaxes(forms, -3, -2))
 
 
 def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.outer(u, v) - np.outer(v, u)
+    """u ^ v of 1-forms (..., 4) as antisymmetric (..., 4, 4)."""
+    return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
 
 
 def weyl_c1(point) -> float:
     """Closed-form value of the single surviving curvature component.
 
     C1 = 4 Phi [ (1 + 2 sin^2 q)/cos^2 q + Phi^2 (1 + 2 sin^2 arg)/cos^2 arg ];
-    equals 8 at the origin.
+    equals 8 at the origin.  Points (..., 4) give values (...).
     """
     cq, sq, ca, sa = _trig(point)
     phi = cq / ca
@@ -315,21 +367,22 @@ def weyl_c1(point) -> float:
     )
 
 
-def curvature_undotted(conn_fn: Callable, point, centre, step: float = 1e-3):
-    """Self-dual curvature 2-forms from a connection-valued callable.
+def curvature_undotted(triples, step: float = 1e-3):
+    """Self-dual curvature 2-forms of the undotted connection on stencils.
 
-    conn_fn(point) -> ConnectionForms, and centre is its value at point.
-    Returns (R_A, R_B, R_C) for the triple (Gamma_42, (Gamma_12 + Gamma_34)/2, Gamma_31):
+    triples (..., 9, 3, 4) holds (A, B, C) = (Gamma_42, (Gamma_12 + Gamma_34)/2,
+    Gamma_31), `ConnectionForms.undotted`, on the `_stencil` nodes of each
+    point, the point first.  Returns (R_A, R_B, R_C), each (..., 4, 4):
 
         R_A = dA + A ^ 2B,   R_B = dB + A ^ C,   R_C = dC + 2B ^ C.
     """
-    a0, b0, c0 = centre.undotted()
-    triple = lambda pt: np.array(conn_fn(pt).undotted())  # noqa: E731
-    grad = np.array([central_diff(triple, point, i, step) for i in range(4)])
-    da, db, dc = (grad[:, t] - grad[:, t].T for t in range(3))  # grad[i, t, j] = d_i triple[t]_j
-    r_a = da + _wedge(a0, 2.0 * b0)
-    r_b = db + _wedge(a0, c0)
-    r_c = dc + _wedge(2.0 * b0, c0)
+    triples = np.asarray(triples, dtype=np.float64)
+    a0, b0, c0 = (triples[..., 0, t, :] for t in range(3))
+    grad = _stencil_diff(triples, step)  # grad[..., i, t, j] = d_i triple[t]_j
+    curl = grad - np.swapaxes(grad, -3, -1)
+    r_a = curl[..., :, 0, :] + _wedge(a0, 2.0 * b0)
+    r_b = curl[..., :, 1, :] + _wedge(a0, c0)
+    r_c = curl[..., :, 2, :] + _wedge(2.0 * b0, c0)
     return r_a, r_b, r_c
 
 
@@ -371,38 +424,8 @@ class WeylSample:
 
 
 def weyl_sample(point, step: float = 1e-3, extracted: bool = True) -> WeylSample:
-    """Curvature data at one point, from first principles when extracted.
-
-    extracted=True reads the connection off the coframe by Cartan solves
-    inside the numerical d (nine, the one at point giving structure_residual);
-    False differentiates the closed form instead.
-    """
-    _finite_step(step)
-    frame = example_tetrad()
-    if extracted:
-        conn_fn = lambda pt: cartan_first(frame, pt, step).conn  # noqa: E731
-        solve = cartan_first(frame, point, step)
-        centre, residual = solve.conn, solve.solve_residual
-    else:
-        conn_fn, centre, residual = example_connection, example_connection(point), 0.0
-    r_a, r_b, r_c = curvature_undotted(conn_fn, point, centre, step)
-
-    e = frame.at(point)
-    basis = _wedge(e[2], e[0])  # e^3 ^ e^1
-    iu = np.triu_indices(4, k=1)
-    denom = float(np.sum(basis[iu] ** 2))
-    c1_est = 2.0 * float(np.sum(r_c[iu] * basis[iu])) / denom
-    off = float(np.max(np.abs(r_c - 0.5 * c1_est * basis)))
-    return WeylSample(
-        point=tuple(float(v) for v in point),
-        c1_closed=weyl_c1(point),
-        c1_estimate=c1_est,
-        off_component_norm=off,
-        ra_norm=float(np.max(np.abs(r_a))),
-        rb_norm=float(np.max(np.abs(r_b))),
-        dotted_norm=centre.dotted_defect(),
-        structure_residual=residual,
-    )
+    """Curvature data at one point: `weyl_report` of that point alone."""
+    return weyl_report([point], step=step, extracted=extracted).samples[0]
 
 
 @dataclass
@@ -449,8 +472,60 @@ class WeylReport:
         }
 
 
+# points per batched solve: bounds the nested stencil arrays to ~3 MB
+_POINT_BLOCK = 256
+
+
 def weyl_report(points, step: float = 1e-3, extracted: bool = True) -> WeylReport:
-    return WeylReport([weyl_sample(pt, step=step, extracted=extracted) for pt in points])
+    """Curvature data at points (K, 4), from first principles when extracted.
+
+    extracted=True evaluates the coframe once on every nested stencil node,
+    (K, 9, 9, 4), and reads the connection off it by one Cartan solve over
+    the nine stencil centres of every point (the point's own solve giving
+    structure_residual); False differentiates the closed form instead.
+    Points are taken in blocks of _POINT_BLOCK.
+    """
+    _finite_step(step)
+    points = np.asarray(points, dtype=np.float64)
+    if points.size == 0:
+        return WeylReport([])
+    if points.ndim != 2 or points.shape[1] != 4:
+        raise ValueError(f"points must be rows (w, z, p, q), got shape {points.shape}")
+    samples = []
+    for b in range(0, len(points), _POINT_BLOCK):
+        samples += _weyl_block(points[b : b + _POINT_BLOCK], step, extracted)
+    return WeylReport(samples)
+
+
+def _weyl_block(points: np.ndarray, step: float, extracted: bool) -> list:
+    centres = _stencil(points, step)  # (K, 9, 4)
+    if extracted:
+        frames = example_tetrad().at(_stencil(centres, step))  # (K, 9, 9, 4, 4)
+        _, forms, resid = _cartan(frames, step)
+        conn, e, residual = ConnectionForms(forms), frames[:, 0, 0], resid[:, 0]
+    else:
+        conn = example_connection(centres)
+        e, residual = example_tetrad().at(points), np.zeros(len(points))
+    r_a, r_b, r_c = curvature_undotted(conn.undotted(), step)
+
+    basis = _wedge(e[:, 2], e[:, 0])  # e^3 ^ e^1
+    iu = np.triu_indices(4, k=1)
+    denom = np.sum(basis[:, iu[0], iu[1]] ** 2, axis=-1)
+    c1_est = 2.0 * np.sum(r_c[:, iu[0], iu[1]] * basis[:, iu[0], iu[1]], axis=-1) / denom
+    off = np.max(np.abs(r_c - (0.5 * c1_est)[:, None, None] * basis), axis=(-2, -1))
+    columns = (
+        weyl_c1(points),
+        c1_est,
+        off,
+        np.max(np.abs(r_a), axis=(-2, -1)),
+        np.max(np.abs(r_b), axis=(-2, -1)),
+        conn.dotted_norms()[:, 0],
+        residual,
+    )
+    return [
+        WeylSample(tuple(pt), *values)
+        for pt, *values in zip(points.tolist(), *(c.tolist() for c in columns))
+    ]
 
 
 def admissible_points(count: int, seed: int = 0, margin: float = 0.3):

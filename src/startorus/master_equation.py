@@ -290,13 +290,16 @@ def kowalewska_series(theta0, theta1, hbar: float, terms: int) -> SeriesSolution
     if hbar < 0:
         raise ValueError("hbar must be >= 0")
     orders = [_as_wpoly(theta0), _as_wpoly(theta1)]
+    d_w = [theta.d_dw() for theta in orders]  # d_w Theta_j, taken once per order
     for k in range(2, terms):
-        acc = -orders[k - 2].d2_dw()
+        acc = -d_w[k - 2].d_dw()
         for j in range(k - 1):
+            if d_w[j].degree == 0 and d_w[j].coeffs[0].size == 0:
+                continue  # {0, .} = 0, and subtracting it leaves acc as it is
             coeff = float(math.comb(k - 2, j))
-            term = orders[j].d_dw().bracket(orders[k - 1 - j], hbar)
-            acc = acc - coeff * term
+            acc = acc - coeff * d_w[j].bracket(orders[k - 1 - j], hbar)
         orders.append(acc)
+        d_w.append(acc.d_dw())
     return SeriesSolution(orders=orders, hbar=hbar)
 
 

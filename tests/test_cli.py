@@ -305,7 +305,7 @@ def test_singular_metric_exits_two(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SingularMetricError("branch locus hit", location=(0, 0, 0, 0))
 
-    monkeypatch.setattr(cli, "weyl_sample", boom)
+    monkeypatch.setattr(cli, "weyl_report", boom)
     code, _, err = run(capsys, "curvature", "--points", "1")
     assert code == 2
     assert "contract violation" in err

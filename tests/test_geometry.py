@@ -25,6 +25,7 @@ from startorus import (
     weyl_report,
     weyl_sample,
 )
+from startorus.numerics import central_diff
 
 POINTS = admissible_points(20, seed=7)
 
@@ -214,21 +215,136 @@ def test_admissible_points_rejects_unreachable_margin(margin):
 def test_weyl_sample_solves_nine_times_and_reports_the_centre_residual(monkeypatch):
     import startorus.geometry as geometry
 
-    solved = []
+    core, at = geometry._cartan, geometry.TetradFrame.at
+    batches, nodes = [], []
 
-    def counted(frame, pt, step=1e-3):
-        solved.append(tuple(pt))
-        return cartan_first(frame, pt, step)
+    def counted(frames, step):
+        batches.append(frames.shape)
+        return core(frames, step)
 
-    monkeypatch.setattr(geometry, "cartan_first", counted)
+    def recorded(frame, point):
+        nodes.append(np.asarray(point))
+        return at(frame, point)
+
+    monkeypatch.setattr(geometry, "_cartan", counted)
+    monkeypatch.setattr(geometry.TetradFrame, "at", recorded)
     pt = POINTS[3]
     sample = geometry.weyl_sample(pt, step=1e-3)
-    assert len(solved) == 9
-    assert solved.count(tuple(pt)) == 1
+    monkeypatch.undo()
+    # one coframe call on the nested stencil, one solve over its nine
+    # centres, the point among them once
+    assert batches == [(1, 9, 9, 4, 4)]
+    assert [n.shape for n in nodes] == [(1, 9, 9, 4)]
+    centres = [tuple(c) for c in nodes[0][0, :, 0].tolist()]
+    assert len(set(centres)) == 9 and centres.count(tuple(pt)) == 1
     direct = cartan_first(example_tetrad(), pt, 1e-3)
     assert sample.structure_residual == direct.solve_residual
     assert sample.dotted_norm == direct.conn.dotted_defect()
     assert weyl_sample(pt, extracted=False).structure_residual == 0.0
+
+
+def test_weyl_sample_is_its_point_of_a_report():
+    # bit for bit: a point's figures do not depend on the points batched with it
+    for extracted in (True, False):
+        report = weyl_report(POINTS, step=1e-3, extracted=extracted)
+        for k in (0, 7):
+            alone = weyl_sample(POINTS[k], step=1e-3, extracted=extracted)
+            one = weyl_report([POINTS[k]], step=1e-3, extracted=extracted).samples[0]
+            assert alone == one == report.samples[k]
+
+
+def test_stencil_node_on_the_branch_locus_raises_at_the_first_such_node():
+    # cos q = 2e-3 clears the branch tolerance at the point and at its
+    # neighbours, but the +q neighbour's own +q neighbour sits on q = pi/2
+    step = 1e-3
+    q = math.pi / 2 - 2 * step
+    with pytest.raises(SingularMetricError) as err:
+        weyl_report([POINTS[0], (0.1, 0.2, -0.3, q), (0.0, 0.0, 0.0, math.pi / 2)], step=step)
+    assert err.value.location == (0.1, 0.2, -0.3, q + step + step)
+    assert "branch locus" in str(err.value)
+
+
+@pytest.mark.parametrize("points", [[(0.1, 0.2, 0.3)], [0.1, 0.2, 0.3, 0.4], [[POINTS[0]]]])
+def test_weyl_report_rejects_points_that_are_not_rows_of_four(points):
+    with pytest.raises(ValueError, match="rows"):
+        weyl_report(points)
+
+
+# The per-point chain that weyl_report batches, frozen as its oracle: a
+# scalar coframe, central_diff of it into one Cartan solve per stencil
+# centre, and central_diff of the nine solves' undotted triples.
+
+
+def _frozen_coframe(pt):
+    w, z, p, q = pt
+    cq, sq, ca = math.cos(q), math.sin(q), math.cos(z * math.cos(q) + p)
+    r = 1.0 / math.sqrt(2.0)
+    phi = cq / ca
+    e = np.zeros((4, 4))
+    e[0] = r / phi * np.array([0.0, cq, 1.0, -z * sq])
+    e[1] = r * np.array([0.0, 0.0, -1.0, z * sq])
+    e[2] = np.array([0.0, 0.0, 0.0, -r])
+    e[3] = r * np.array([cq, 0.0, 0.0, phi])
+    return e
+
+
+def _frozen_cartan(pt, step):
+    e = _frozen_coframe(pt)
+    grad = np.array([central_diff(_frozen_coframe, pt, i, step) for i in range(4)])
+    de = np.transpose(grad, (1, 0, 2)) - np.transpose(grad, (1, 2, 0))
+    e_inv = np.linalg.inv(e)
+    low = np.einsum("ab,bij,ic,jd->acd", FRAME_METRIC, de, e_inv, e_inv)
+    gamma = 0.5 * (low + np.einsum("bca->abc", low) - np.einsum("cab->abc", low))
+    forms = np.einsum("abc,cm->abm", gamma, e)
+    forms = 0.5 * (forms - np.transpose(forms, (1, 0, 2)))
+    wedge = np.einsum("ac,cbi,bj->aij", FRAME_METRIC, forms, e)
+    resid = float(np.max(np.abs(de + wedge - np.transpose(wedge, (0, 2, 1)))))
+    return de, forms, resid
+
+
+def _frozen_sample(pt, step):
+    """The sample's figures, and the scales of de and of the connection."""
+
+    def triple(x):
+        f = _frozen_cartan(x, step)[1]
+        return np.array([f[3, 1], 0.5 * (f[0, 1] + f[2, 3]), f[2, 0]])
+
+    def wedge(u, v):
+        return np.outer(u, v) - np.outer(v, u)
+
+    de, forms, resid = _frozen_cartan(pt, step)
+    a0, b0, c0 = triple(pt)
+    grad = np.array([central_diff(triple, pt, i, step) for i in range(4)])
+    da, db, dc = (grad[:, t] - grad[:, t].T for t in range(3))
+    r_a, r_b, r_c = da + wedge(a0, 2.0 * b0), db + wedge(a0, c0), dc + wedge(2.0 * b0, c0)
+    e = _frozen_coframe(pt)
+    basis = wedge(e[2], e[0])
+    iu = np.triu_indices(4, k=1)
+    c1 = 2.0 * float(np.sum(r_c[iu] * basis[iu])) / float(np.sum(basis[iu] ** 2))
+    dotted = (forms[3, 0], 0.5 * (forms[2, 3] - forms[0, 1]), forms[2, 1])
+    figures = {
+        "c1_estimate": c1,
+        "off_component_norm": float(np.max(np.abs(r_c - 0.5 * c1 * basis))),
+        "ra_norm": float(np.max(np.abs(r_a))),
+        "rb_norm": float(np.max(np.abs(r_b))),
+        "dotted_norm": float(max(np.max(np.abs(c)) for c in dotted)),
+        "structure_residual": resid,
+    }
+    return figures, float(np.max(np.abs(de))), float(np.max(np.abs(forms)))
+
+
+def test_batched_curvature_matches_the_frozen_per_point_chain():
+    # the two differ by round-off only, so each figure agrees to 1e-12 of
+    # the scale it is computed at: curvature components at |C1|, the
+    # connection's dotted part at max |Gamma|, the structure residual at max |de|
+    points = admissible_points(32, seed=3)
+    for pt, got in zip(points, weyl_report(points, step=1e-3).samples):
+        want, de_scale, conn_scale = _frozen_sample(pt, 1e-3)
+        curvature = ("c1_estimate", "off_component_norm", "ra_norm", "rb_norm")
+        scales = dict.fromkeys(curvature, abs(want["c1_estimate"]))
+        scales.update(dotted_norm=conn_scale, structure_residual=de_scale)
+        for name, scale in scales.items():
+            assert abs(getattr(got, name) - want[name]) <= 1e-12 * scale, (pt, name)
 
 
 class _WavyFrame:

@@ -11,6 +11,7 @@ from startorus import (
     KahlerBackground,
     SingularMetricError,
     SpacetimeGrid,
+    WPolyField,
     example_cauchy_data,
     example_solution,
     freq_factor,
@@ -255,6 +256,40 @@ def test_series_of_data_orders_echo_input():
     # plain FourierField data is promoted
     series2 = kowalewska_series(theta1.at_w(0.0), theta1.at_w(0.0), 0.4, terms=2)
     assert series2.orders[0].degree == 0
+
+
+def frozen_kowalewska_orders(theta0, theta1, hbar, terms):
+    """The recursion as first written: d_w and a bracket for every j."""
+    orders = [theta0, theta1]
+    for k in range(2, terms):
+        acc = -orders[k - 2].d2_dw()
+        for j in range(k - 1):
+            coeff = float(math.comb(k - 2, j))
+            term = orders[j].d_dw().bracket(orders[k - 1 - j], hbar)
+            acc = acc - coeff * term
+        orders.append(acc)
+    return orders
+
+
+@pytest.mark.parametrize("hbar", [0.0, 2 * np.pi / 12])
+def test_series_bit_identical_to_the_bracket_for_every_j(hbar):
+    # w-degree 2 data: d_w Theta_j is nonzero for some j > 0 and the zero
+    # field for others, so the recursion takes and skips brackets past j = 0
+    wave = FourierField.from_dict
+    theta0 = WPolyField(
+        [wave({(1, 1): 0.5, (-1, -1): 0.5}), wave({(0, 1): -0.5j, (0, -1): 0.5j}),
+         wave({(1, 0): 0.25, (-1, 0): 0.25})]
+    )
+    theta1 = WPolyField([wave({(1, -1): 0.3j, (-1, 1): -0.3j})])
+    got = kowalewska_series(theta0, theta1, hbar, terms=9).orders
+    want = frozen_kowalewska_orders(theta0, theta1, hbar, 9)
+    assert want[1].degree == 0 and want[2].degree == 1  # j = 1 skipped, j = 2 taken
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.degree == b.degree, k
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert np.array_equal(x.modes, y.modes), k
+            assert np.array_equal(x.coeffs, y.coeffs), k
 
 
 def test_series_input_validation():
