@@ -258,20 +258,21 @@ def cmd_verify_chiral(args) -> int:
         if spans[name][0] >= spans[name][1]:
             raise ValueError(f"--grid-{name} span is empty")
     model = chiral_model(p["n"])
-    fields = {}
+    kept = {}  # h -> (grid, field, report), only the coarse grid's and only for --dump
 
     def make_report(h):
         grid = SpacetimeGrid.regular(spans, h)
         field = model.matrix_field(grid)
-        fields[h] = (grid, field)
-        return residual_chiral(field)
+        report = residual_chiral(field)
+        if args.dump is not None and h == p["h"]:
+            kept[h] = (grid, field, report)
+        return report
 
     rows, order = _refinement_rows(make_report, p["h"], [p["n"]])
     text = _csv(["n", "h", "sup_residual", "rms_residual", "observed_order"], rows)
     _emit(text, args.out)
     if args.dump is not None:
-        grid, field = fields[p["h"]]
-        report = residual_chiral(field)
+        grid, field, report = kept[p["h"]]
         header = ["w", "z", "residual"]
         nd = p["n"]
         for i in range(nd):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from startorus import (
     residual_chiral,
     richardson_order,
 )
-from startorus.chiral import BesselCoefficient, _bessel_table, _i_bound
+from startorus import chiral
+from startorus.chiral import BesselCoefficient, _bessel_table, _frobenius, _i_bound
+from startorus.numerics import grid_diff, grid_diff2
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -201,6 +204,27 @@ def test_matrix_field_matches_pointwise_assembly():
         chiral_model(1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_field_matrix_sums_the_z_part_first(n):
+    # the field is lead + w w_mat + sum_j c_j(z) M_j in any order: summed in
+    # that order over the full (w, z) array it agrees to round-off
+    model = chiral_model(n)
+    ws = np.linspace(-1.0, 1.0, 9)[:, None]
+    zs = np.linspace(0.0, 2.0, 11)[None, :]
+    want = np.zeros((9, 11, n, n), dtype=complex)
+    want += model.lead
+    want += ws[..., None, None] * model.w_mat
+    for coef, mat in model.terms:
+        want += coef(zs)[..., None, None] * mat
+    got = model.field_matrix(ws, zs)
+    scale = np.max(np.abs(want))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    # the field is affine in w with slope w_mat
+    slope = got - model.field_matrix(0.0, zs)
+    assert np.max(np.abs(slope - ws[..., None, None] * model.w_mat)) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_field_sits_in_su_n(n):
     model = chiral_model(n)
@@ -284,6 +308,60 @@ def test_residual_guards():
     bad = MatrixField(swapped, np.zeros((3, 3, 2, 2), dtype=complex), 2)
     with pytest.raises(ValueError):
         residual_chiral(bad)
+
+
+def whole_grid_residual(field):
+    grid, v = field.grid, field.values
+    dw = grid_diff(v, grid, "w")
+    dz = grid_diff(v, grid, "z")
+    return _frobenius(grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z") + dw @ dz - dz @ dw)
+
+
+def whole_grid_system_sups(field):
+    grid, v = field.grid, field.values
+    a_w = -grid_diff(v, grid, "z")
+    a_z = grid_diff(v, grid, "w")
+    aw_c, az_c = a_w[1:-1, 1:-1], a_z[1:-1, 1:-1]
+    curv = grid_diff(a_z, grid, "w") - grid_diff(a_w, grid, "z") + aw_c @ az_c - az_c @ aw_c
+    div = grid_diff(a_w, grid, "w") + grid_diff(a_z, grid, "z")
+    return float(np.max(_frobenius(curv))), float(np.max(_frobenius(div)))
+
+
+# 17 w nodes: 15 interior rows for the residual and 13 for the system check,
+# in slabs of one row, of four rows (the last one shorter) or in one slab
+@pytest.mark.parametrize("row_budget, rows", [(0.5, 1), (4.5, 4), (100, 100)])
+def test_w_slabs_are_bit_identical_to_the_whole_grid(monkeypatch, row_budget, rows):
+    grid = SpacetimeGrid({"w": np.linspace(-0.5, 0.5, 17), "z": np.linspace(0.1, 1.1, 11)})
+    rng = np.random.default_rng(5)
+    spoil = rng.standard_normal((17, 11, 4, 4)) + 1j * rng.standard_normal((17, 11, 4, 4))
+    field = MatrixField(grid, chiral_model(4).matrix_field(grid).values + 0.1 * spoil, 4)
+    row = field.values[0].size
+    monkeypatch.setattr(chiral, "_SLAB", int(row_budget * row))
+    assert max(1, chiral._SLAB // row) == rows
+    rep = residual_chiral(field)
+    assert rep.per_point.shape == (15, 9)
+    assert np.array_equal(rep.per_point, whole_grid_residual(field))
+    assert rep.sup == float(np.max(rep.per_point))
+    sys_rep = chiral_system_check(field)
+    assert (sys_rep.curvature_sup, sys_rep.divergence_sup) == whole_grid_system_sups(field)
+
+
+def test_stencil_memory_stays_within_a_slab():
+    # the cli-studies field: 129^2 nodes at n = 8, 17.0 MB
+    grid = SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, 1.0 / 64.0)
+    field = chiral_model(8).matrix_field(grid)
+    budget = field.values.nbytes / 4
+    tracemalloc.start()
+    try:
+        residual_chiral(field)
+        residual_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        chiral_system_check(field)
+        system_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual_peak < budget, (residual_peak, budget)
+    assert system_peak < budget, (system_peak, budget)
 
 
 def test_first_order_system_check():

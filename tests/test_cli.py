@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import startorus
-from startorus import SingularMetricError, basis_matrix
+from startorus import SingularMetricError, basis_matrix, residual_chiral
 from startorus.cli import ContractViolation, main
 from startorus.sine_basis import matrix_from_json
 
@@ -117,6 +117,26 @@ def test_verify_chiral_and_dump(capsys, tmp_path):
     assert dumped[0].startswith("w,z,residual,m00_re,m00_im")
     assert len(dumped[0].split(",")) == 3 + 8
     assert len(dumped) == 1 + 15 * 15  # interior of 17x17 coarse nodes
+
+
+def test_verify_chiral_dump_reuses_the_coarse_report(capsys, tmp_path, monkeypatch):
+    import startorus.cli as cli
+
+    reports = []
+
+    def counted(field):
+        reports.append(residual_chiral(field))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "residual_chiral", counted)
+    dump = tmp_path / "per_point.csv"
+    code, out, _ = run(capsys, "verify-chiral", "--n", "2", "--h", "0.125",
+                       "--dump", str(dump))
+    assert code == 0
+    assert len(reports) == 2  # the coarse and the fine grid, none for the dump
+    residuals = [float(line.split(",")[2]) for line in dump.read_text().splitlines()[1:]]
+    assert residuals == reports[0].per_point.ravel().tolist()
+    assert float(out.splitlines()[1].split(",")[2]) == max(residuals)
 
 
 def test_curvature_csv(capsys):
