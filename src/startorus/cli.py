@@ -273,23 +273,15 @@ def cmd_verify_chiral(args) -> int:
     _emit(text, args.out)
     if args.dump is not None:
         grid, field, report = kept[p["h"]]
-        header = ["w", "z", "residual"]
         nd = p["n"]
-        for i in range(nd):
-            for j in range(nd):
-                header += [f"m{i}{j}_re", f"m{i}{j}_im"]
-        dump_rows = []
-        ws = grid.axis("w")
-        zs = grid.axis("z")
-        for i in range(1, ws.size - 1):
-            for j in range(1, zs.size - 1):
-                mat = field.values[i, j]
-                row = [ws[i], zs[j], report.per_point[i - 1, j - 1]]
-                for a in range(nd):
-                    for b in range(nd):
-                        row += [mat[a, b].real, mat[a, b].imag]
-                dump_rows.append(row)
-        _emit(_csv(header, dump_rows), args.dump)
+        header = ["w", "z", "residual"]
+        header += [f"m{i}{j}_{part}" for i in range(nd) for j in range(nd) for part in ("re", "im")]
+        # one row per interior node, w-major; each entry's re, im side by side
+        inner = field.values[1:-1, 1:-1]
+        ws, zs = np.meshgrid(grid.axis("w")[1:-1], grid.axis("z")[1:-1], indexing="ij")
+        parts = np.stack([inner.real, inner.imag], axis=-1).reshape(ws.size, -1)
+        table = np.column_stack([ws.ravel(), zs.ravel(), report.per_point.ravel(), parts])
+        _emit(_csv(header, table.tolist()), args.dump)
     if not ORDER_BAND[0] <= order <= ORDER_BAND[1]:
         raise ContractViolation(
             f"residual order {order:.3f} outside {ORDER_BAND[0]}..{ORDER_BAND[1]}"

@@ -14,6 +14,7 @@ import startorus
 from startorus import (
     MatrixField,
     SpacetimeGrid,
+    basis_matrix,
     bessel_identity_check,
     bessel_integral,
     chi_project,
@@ -22,12 +23,13 @@ from startorus import (
     convergence_study,
     example_solution,
     fourier_expansion_theta,
+    freq_factor,
     matched_hbar,
     residual_chiral,
     richardson_order,
 )
 from startorus import chiral
-from startorus.chiral import BesselCoefficient, _bessel_table, _frobenius, _i_bound
+from startorus.chiral import _bessel_integrals, _bessel_table, _frobenius, _i_bound
 from startorus.numerics import grid_diff, grid_diff2
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -118,44 +120,14 @@ def test_bessel_functions_reject_non_finite_arguments():
         fourier_expansion_theta(0.5, 0.1, float("inf"), band_limit=4)
     with pytest.raises(ValueError, match="finite arguments"):
         _bessel_table(3, np.array([0.5, -np.inf]))
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_bessel_coefficient_array_equals_scalar_calls(n):
-    zs = np.concatenate([np.linspace(-1.0, 2.0, 31), [0.0, 1e-9]])
-    for coef, _ in chiral_model(n).terms:
-        got = coef(zs)
-        assert got.shape == zs.shape
-        for z, value in zip(zs, got):
-            want = coef(float(z))
-            assert isinstance(want, float)
-            assert abs(value - want) <= 1e-15 * abs(want), (coef.label, z)
+    with pytest.raises(ValueError, match="finite"):
+        chiral_model(3).field_matrix(0.0, np.nan)
 
 
 def test_i_bound_really_bounds():
     for ell in range(13):
         for x in (0.5, 2.0, 5.0):
             assert abs(bessel_integral(ell, x)) <= _i_bound(ell, x) + 1e-15
-
-
-def test_coefficient_truncation_matches_brute_force():
-    sigma = 0.8
-    coef = BesselCoefficient(
-        "probe", sigma, -1.25, lambda k: ((-1.0) ** k, 1 + 6 * k)
-    )
-    z = 1.1
-    x = z * sigma
-    brute = -1.25 * sum(
-        (-1.0) ** k * bessel_integral(1 + 6 * k, x) for k in range(60)
-    )
-    assert abs(coef(z) - brute) < 1e-12
-
-
-def test_coefficient_that_never_converges_raises():
-    # the index never clears |x|, so no truncation point is ever reached
-    coef = BesselCoefficient("stuck", 0.8, 1.0, lambda k: (1.0, 0))
-    with pytest.raises(ValueError, match=r"'stuck'.*x = 0\.8"):
-        coef(1.0)
 
 
 def test_bessel_identity_report():
@@ -204,25 +176,189 @@ def test_matrix_field_matches_pointwise_assembly():
         chiral_model(1)
 
 
+# ---------------------------------------------------------------------------
+# the paper's explicit even/odd families, the folded field's independent oracle
+
+def explicit_families(n):
+    """The rank-n field as lead + w w_mat + sum_j c_j(z) M_j.
+
+    Returns lead, w_mat and label -> (sign, term, M_j), with
+    c_j(z) = (sign / sigma) sum_k weight I_ell(z sigma) over
+    (weight, ell) = term(k), k = 0, 1, ...; ell grows strictly with k."""
+    L = lambda a, b: basis_matrix(n, a, b)  # noqa: E731
+    half_i = 0.5 / 1j
+    fams = {}
+    if n % 2 == 0:
+        half = n // 2
+        for ell in range(1, n):
+            nu = (ell + 1) // 2
+            sign, part = ((-1.0) ** nu, 0.5) if ell % 2 else ((-1.0) ** (nu + 1), half_i)
+            fams[f"a{ell}"] = (
+                sign,
+                lambda k, e=ell: ((-1.0) ** (half * k), e + n * k),
+                part * (L(1, ell) + L(n - 1, n - ell) + L(n - 1, ell) + L(1, n - ell)),
+            )
+        fams["a0"] = (
+            -1.0,
+            lambda k: (1.0, 0) if k == 0 else (2.0 * (-1.0) ** (half * k), n * k),
+            half_i * (L(1, 0) + L(n - 1, 0)),
+        )
+    else:
+        parity = (n + 1) // 2
+        for nu in range(1, (n - 1) // 2 + 1):
+            odd, even = 2 * nu - 1, 2 * nu
+            plain = lambda e: lambda k: ((-1.0) ** k, e + 2 * n * k)  # noqa: E731
+            shifted = lambda e: lambda k: ((-1.0) ** k, e + n * (2 * k + 1))  # noqa: E731
+            fams[f"a{odd}"] = (
+                (-1.0) ** nu,
+                plain(odd),
+                0.5 * (L(1, odd) - L(n - 1, n - odd) + L(n - 1, odd) + L(1, n - odd)),
+            )
+            fams[f"b{odd}"] = (
+                (-1.0) ** (nu + parity),
+                shifted(odd),
+                half_i * (L(1, odd) + L(n - 1, n - odd) + L(1, n - odd) - L(n - 1, odd)),
+            )
+            fams[f"a{even}"] = (
+                (-1.0) ** (nu + parity),
+                shifted(even),
+                0.5 * (L(1, even) + L(n - 1, n - even) + L(1, n - even) - L(n - 1, even)),
+            )
+            fams[f"b{even}"] = (
+                (-1.0) ** (nu + 1),
+                plain(even),
+                half_i * (L(1, even) - L(n - 1, n - even) + L(n - 1, even) + L(1, n - even)),
+            )
+        fams["a0"] = ((-1.0) ** parity, lambda k: ((-1.0) ** k, n * (2 * k + 1)), L(1, 0) - L(n - 1, 0))
+        fams["b0"] = (
+            -1.0,
+            lambda k: (1.0, 0) if k == 0 else (2.0 * (-1.0) ** k, 2 * n * k),
+            half_i * (L(1, 0) + L(n - 1, 0)),
+        )
+    lead_sign = 1.0 if n % 2 == 0 else -1.0
+    lead = (np.pi / 4.0) * (L(1, 1) + lead_sign * L(n - 1, n - 1))
+    w_mat = -half_i * (L(0, 1) + L(0, n - 1))
+    return lead, w_mat, fams
+
+
+def family_coefficient(sign, term, sigma, z: float) -> float:
+    """c_j at one z: the terms up to the first k >= 1 whose order clears
+    |x| + 2 and bounds below 1e-13 / 4, as the families were cut off."""
+    x = z * sigma
+    count = next(
+        k for k in range(1, 302) if term(k)[1] > abs(x) + 2.0 and 4.0 * _i_bound(term(k)[1], x) < 1e-13
+    )
+    terms = [term(k) for k in range(count)]
+    table = _bessel_integrals(terms[-1][1], x)
+    return sign / sigma * sum(weight * table[ell] for weight, ell in terms)
+
+
+def explicit_z_part(n, zs):
+    """lead + sum_j c_j(z) M_j at every z of zs, each c_j taken one z at a time."""
+    sigma = freq_factor(matched_hbar(n))
+    lead, _, fams = explicit_families(n)
+    out = np.zeros(np.shape(zs) + (n, n), dtype=complex)
+    out += lead
+    for sign, term, mat in fams.values():
+        coef = [family_coefficient(sign, term, sigma, float(z)) for z in np.ravel(zs)]
+        out += np.reshape(coef, np.shape(zs))[..., None, None] * mat
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 16])
+def test_explicit_families_agree_with_the_folded_field(n):
+    ws = np.linspace(-1.0, 1.0, 5)[:, None]
+    zs = np.linspace(-2.0, 2.0, 9)[None, :]  # z = 0 among them
+    lead, w_mat, _ = explicit_families(n)
+    want = explicit_z_part(n, zs) + ws[..., None, None] * w_mat
+    got = chiral_model(n).field_matrix(ws, zs)
+    assert got.shape == want.shape == (5, 9, n, n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(chiral_model(n).w_mat - w_mat)) <= 1e-16
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_bessel_coefficient_array_equals_scalar_calls(n):
+    # the field over an array of z against the families' coefficients taken
+    # one scalar z at a time, and against the field at each scalar z
+    zs = np.concatenate([np.linspace(-1.0, 2.0, 31), [0.0, 1e-9]])
+    model = chiral_model(n)
+    got = model.field_matrix(0.0, zs)
+    want = explicit_z_part(n, zs)
+    scale = np.max(np.abs(want))
+    assert got.shape == zs.shape + (n, n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    for z, value in zip(zs, got):
+        assert np.max(np.abs(value - model.field_matrix(0.0, float(z)))) <= 1e-15 * scale, z
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_field_matrix_sums_the_z_part_first(n):
-    # the field is lead + w w_mat + sum_j c_j(z) M_j in any order: summed in
-    # that order over the full (w, z) array it agrees to round-off
-    model = chiral_model(n)
+    # the field is lead + w w_mat + sum_j c_j(z) M_j in any order: the
+    # families summed in that order over the full (w, z) array agree
+    lead, w_mat, fams = explicit_families(n)
+    sigma = freq_factor(matched_hbar(n))
     ws = np.linspace(-1.0, 1.0, 9)[:, None]
     zs = np.linspace(0.0, 2.0, 11)[None, :]
     want = np.zeros((9, 11, n, n), dtype=complex)
-    want += model.lead
-    want += ws[..., None, None] * model.w_mat
-    for coef, mat in model.terms:
-        want += coef(zs)[..., None, None] * mat
+    want += lead
+    want += ws[..., None, None] * w_mat
+    for sign, term, mat in fams.values():
+        coef = np.array([[family_coefficient(sign, term, sigma, z) for z in zs[0]]])
+        want += coef[..., None, None] * mat
+    model = chiral_model(n)
     got = model.field_matrix(ws, zs)
     scale = np.max(np.abs(want))
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
     # the field is affine in w with slope w_mat
     slope = got - model.field_matrix(0.0, zs)
-    assert np.max(np.abs(slope - ws[..., None, None] * model.w_mat)) <= 1e-13 * scale
+    assert np.max(np.abs(slope - ws[..., None, None] * model.w_mat)) <= 1e-14 * scale
+
+
+def brute_force_kept(n, x, cut_off):
+    # the least l, scanned from 0, past |x| + 2 with 4 _i_bound(l, x) below the
+    # cut-off, and never fewer than one fold period of orders
+    period = n if n % 2 == 0 else 2 * n
+    least = next(l for l in range(5000) if l > abs(x) + 2.0 and 4.0 * _i_bound(l, x) < cut_off)
+    return max(least, period)
+
+
+def test_coefficient_truncation_matches_brute_force(monkeypatch):
+    xs = np.array([0.0, 1e-9, -0.3, 0.8, 2.5, -7.25, 30.0, 91.5])
+    for n in (2, 3, 8, 9, 16):
+        want = [brute_force_kept(n, float(x), 1e-13) for x in xs]
+        assert chiral._kept_orders(n, xs).tolist() == want, n
+    assert chiral._kept_orders(9, np.array([0.1]))[0] == 18  # one odd-rank period
+    # with a cut-off high enough to see, the field is chi_n of exactly the
+    # expansion modes (+-1, +-l), l below max(L(x), P): the next one counts
+    monkeypatch.setattr(chiral, "_CUT_OFF", 1e-3)
+    for n, w, z in ((2, 0.3, 1.9), (3, -0.4, 2.7), (4, 0.1, -3.1)):
+        model = chiral_model(n)
+        kept = brute_force_kept(n, z * model.sigma, 1e-3)
+        assert chiral._kept_orders(n, np.array([z * model.sigma]))[0] == kept
+        fold = [
+            chi_project(fourier_expansion_theta(matched_hbar(n), w, z, band).field, n)
+            for band in (kept - 1, kept)
+        ]
+        got = model.field_matrix(w, z)
+        assert np.max(np.abs(got - fold[0])) <= 1e-14 * np.max(np.abs(got)), n
+        assert np.max(np.abs(got - fold[1])) > 1e-9, n
+
+
+def test_coefficient_that_never_converges_raises(monkeypatch):
+    # past 301 periods of orders the cut-off gives up, at the smallest
+    # offending |x|; a far-off |x| fails before any Bessel table is built
+    with pytest.raises(ValueError, match=r"below order 602 at x = 425\.262007"):
+        chiral_model(2).field_matrix(0.0, np.array([1.0, -700.0, 668.0, 2000.0]))
+    chiral_model(2).field_matrix(0.0, 664.0)  # x = 422.7 still converges
+
+    def no_table(*args):
+        raise AssertionError("Bessel table built")
+
+    monkeypatch.setattr(chiral, "_bessel_table", no_table)
+    with pytest.raises(ValueError, match=r"below order 1806 at x = "):
+        chiral_model(3).field_matrix(0.0, 1e30)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -244,7 +380,7 @@ def test_fold_projected_expansion_equals_model(n):
         exp = fourier_expansion_theta(hbar, w, z, band_limit=40)
         got = chi_project(exp.field, n)
         want = model.field_matrix(w, z)
-        assert np.max(np.abs(got - want)) <= 1e-7
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import startorus
-from startorus import SingularMetricError, basis_matrix, residual_chiral
+from startorus import (
+    SingularMetricError,
+    SpacetimeGrid,
+    basis_matrix,
+    chiral_model,
+    residual_chiral,
+)
 from startorus.cli import ContractViolation, main
 from startorus.sine_basis import matrix_from_json
 
@@ -117,6 +123,40 @@ def test_verify_chiral_and_dump(capsys, tmp_path):
     assert dumped[0].startswith("w,z,residual,m00_re,m00_im")
     assert len(dumped[0].split(",")) == 3 + 8
     assert len(dumped) == 1 + 15 * 15  # interior of 17x17 coarse nodes
+
+
+def test_verify_chiral_dump_matches_a_per_cell_loop(capsys, tmp_path):
+    # the dump as a per-cell loop over the interior nodes wrote it, frozen here
+    dump = tmp_path / "per_point.csv"
+    code, _, _ = run(capsys, "verify-chiral", "--n", "2", "--h", "0.125", "--dump", str(dump))
+    assert code == 0
+    grid = SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, 0.125)
+    field = chiral_model(2).matrix_field(grid)
+    report = residual_chiral(field)
+    header = ["w", "z", "residual"]
+    for i in range(2):
+        for j in range(2):
+            header += [f"m{i}{j}_re", f"m{i}{j}_im"]
+    lines = [",".join(header)]
+    ws, zs = grid.axis("w"), grid.axis("z")
+    for i in range(1, ws.size - 1):
+        for j in range(1, zs.size - 1):
+            mat = field.values[i, j]
+            row = [ws[i], zs[j], report.per_point[i - 1, j - 1]]
+            for a in range(2):
+                for b in range(2):
+                    row += [mat[a, b].real, mat[a, b].imag]
+            lines.append(",".join(repr(float(cell)) for cell in row))
+    assert dump.read_text() == "\n".join(lines) + "\n"
+
+
+def test_verify_chiral_past_the_bessel_cut_off_names_x(capsys):
+    # past x = 425.26 (z = 668) the cut-off needs more than 301 periods
+    code, out, err = run(capsys, "verify-chiral", "--n", "2", "--h", "4",
+                         "--grid-w=-4:4", "--grid-z", "0:4096")
+    assert code == 1
+    assert out == ""
+    assert "x = 425.26200794154437" in err, err
 
 
 def test_verify_chiral_dump_reuses_the_coarse_report(capsys, tmp_path, monkeypatch):
