@@ -15,13 +15,12 @@ The field solves vartheta_ww + vartheta_zz + [vartheta_w, vartheta_z] = 0
 and encodes a principally embedded chiral model whose n -> infinity limit
 recovers the torus solution at quadratic rate in 1/n.
 
-Every Bessel value comes from one numpy table, `_bessel_table`: J_0..J_N at
-every point of an array, by Miller's backward recurrence
-J_{k-1} = (2k/x) J_k - J_{k+1} normalised with J_0 + 2 sum_k J_2k = 1.  The
-integrals I_ell are reverse cumulative sums over every other order of that
-table (`_bessel_integrals`), one table per batch of points, so callers pass
-all their points at once: the chiral field all z of a grid, the solution's
-mode expansion every (w, z) node and deformation.
+The expansion and its Bessel numerics live in `master_equation`, next to
+the solution they expand (`ClosedFormSolution.windows`): every Bessel value
+comes from one numpy table there, `_bessel_table`, and the integrals I_ell
+are reverse cumulative sums over every other order of it
+(`_bessel_integrals`), one table per batch of points, so callers pass all
+their points at once, as the chiral field does with all z of a grid.
 """
 
 from __future__ import annotations
@@ -35,7 +34,17 @@ import numpy as np
 
 from .fourier import FourierField
 from .grids import SpacetimeGrid
-from .master_equation import ResidualReport, _report, freq_factor
+from .master_equation import (
+    ClosedFormSolution,
+    ResidualReport,
+    _bessel_integrals,
+    _bessel_table,
+    _expansion_row,
+    _finite_points,
+    _i_bound,
+    _report,
+    freq_factor,
+)
 from .numerics import checked_grid, grid_diff, grid_diff2
 from .projection import MatrixField, _fold, matched_hbar
 
@@ -54,99 +63,12 @@ __all__ = [
 ]
 
 
-# Below this |x| the leading series term (x/2)^l / l! is J_l(x) to double
-# precision (the next term is x^2 / (4 (l + 1)) smaller), and one step of the
-# backward recurrence could overflow past the rescaling threshold.
-_TINY_X = 1e-30
-_RESCALE = 1e250
-
-
-def _finite_points(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError(f"Bessel functions need finite arguments, got {float(x[~np.isfinite(x)][0])}")
-    return x
-
-
-def _bessel_table(order: int, x) -> np.ndarray:
-    """J_0(x)..J_order(x) at every point of x, shape (order + 1,) + x.shape.
-
-    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} (DLMF 3.6(v),
-    10.74(iv)) starts from J_{N+1} = 0, J_N = 1 at an even N above
-    max(order, |x|) plus a margin.  A point's values are divided by a power
-    of two once one of them passes 1e250, and the result is normalised by
-    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  J_l(-x) = (-1)^l J_l(x);
-    x = 0 gives J_0 = 1 and every other order 0.
-    """
-    x = _finite_points(x)
-    ax = np.abs(x).ravel()
-    out = np.empty((order + 1, ax.size))
-    tiny = ax < _TINY_X
-    steps = 0.5 * ax[tiny] / np.arange(1, order + 1)[:, None]
-    out[:, tiny] = np.cumprod(np.vstack([np.ones((1, steps.shape[1])), steps]), axis=0)
-    xs = ax[~tiny]
-    if xs.size:
-        top = max(order, math.ceil(xs.max()))
-        start = top + 20 + math.isqrt(40 * top + 40)
-        start += start % 2
-        factor = np.arange(start + 1)[:, None] * (2.0 / xs)
-        # |J_{k-1}| <= (growth + 1) max(|J_k|, |J_{k+1}|), so checking every
-        # `every` steps keeps each value below 1e300
-        growth = 2.0 * start / xs.min()
-        every = max(1, int(50.0 // math.log10(growth + 2.0)))
-        rows = np.zeros((start + 2, xs.size))
-        rows[start] = 1.0
-        row, fac = list(rows), list(factor)  # views, indexed fast in the loop
-        for k in range(start, 0, -1):
-            lo = row[k - 1]
-            np.multiply(fac[k], row[k], out=lo)
-            lo -= row[k + 1]
-            if k % every == 0:
-                mag = np.abs(lo)
-                if mag.max() > _RESCALE:
-                    # by powers of two: exact, so where it happens moves no bit
-                    shift = np.where(mag > _RESCALE, -np.frexp(mag)[1], 0)
-                    rows[k - 1 :] *= np.ldexp(1.0, shift)
-        norm = rows[0] + 2.0 * rows[2::2].sum(axis=0)
-        out[:, ~tiny] = rows[: order + 1] / norm
-    out[1::2, x.ravel() < 0] *= -1.0
-    return out.reshape((order + 1,) + x.shape)
-
-
-def _bessel_integrals(order: int, x) -> np.ndarray:
-    """I_0(x)..I_order(x), I_l(x) = int_0^x J_l = 2 sum_k J_{l+2k+1}(x) (DLMF 10.22(i)),
-    at every point of x, shape (order + 1,) + x.shape.
-
-    One table to order + 2 ceil(max |x|) + 62, past which the rest is far
-    below double precision; each I_l is twice a reverse cumulative sum over
-    the orders of the other parity."""
-    x = _finite_points(x)
-    top = order + 2 * math.ceil(np.max(np.abs(x), initial=0.0)) + 62
-    table = _bessel_table(top, x)
-    tails = np.empty_like(table)
-    for parity in (0, 1):
-        tails[parity::2] = np.cumsum(table[parity::2][::-1], axis=0)[::-1]
-    return 2.0 * tails[1 : order + 2]
-
-
 @lru_cache(maxsize=1 << 14)
 def bessel_integral(ell: int, x: float) -> float:
     """I_ell(x) = int_0^x J_ell(t) dt, one column of `_bessel_integrals`."""
     if x == 0.0:
         return 0.0
     return float(_bessel_integrals(ell, x)[ell])
-
-
-def _i_bound(ell: int, x: float) -> float:
-    """Crude but safe bound on |I_ell(x)| for truncation decisions."""
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ell <= ax + 1.0:
-        return ax  # |J_ell| <= 1
-    # |J_ell(t)| <= (t/2)^ell / ell! once ell clears the argument
-    log_b = (ell + 1) * math.log(ax / 2.0) - math.lgamma(ell + 2) + math.log(2.0)
-    return math.exp(log_b)
 
 
 # The explicit even/odd Bessel families this field replaced dropped every
@@ -189,58 +111,17 @@ class ExpansionResult:
     z: float
 
 
-def _expansion_row(hbar, z, band_limit: int) -> np.ndarray:
-    """Bessel-integral modes c_(1, l), l = 0..band_limit, of the closed-form
-    solution (its c_(1, -l) are the same and its c_(-1, +-l) their
-    conjugates), broadcast over hbar and z, from one table.
-
-    A_0 = -I_0(x)/s, A_{2m-1} = (-1)^m I_{2m-1}(x)/s,
-    A_{2m} = (-1)^(m+1) I_{2m}(x)/s with x = z s; c_(1, l) is A_l/2 for
-    odd l and A_l/(2i) for even l.
-    """
-    if band_limit < 1:
-        raise ValueError("band_limit must be >= 1")
-    s = np.vectorize(freq_factor, otypes=[float])(hbar)
-    s, z = np.broadcast_arrays(s, np.asarray(z, dtype=np.float64))
-    ell = np.arange(band_limit + 1)
-    half = (ell + 1) // 2
-    sign = np.where(ell % 2 == 1, (-1.0) ** half, (-1.0) ** (half + 1))
-    amp = (sign / s[..., None]) * np.moveaxis(_bessel_integrals(band_limit, z * s), 0, -1)
-    return np.where(ell % 2 == 1, 0.5 * amp, -0.5j * amp)
-
-
-def _expansion_windows(hbar, w, z, band_limit: int) -> np.ndarray:
-    """Mode windows [..., R + m1, R + m2] of the closed-form solution, R = band_limit,
-    broadcast over hbar, w and z: (pi/4) (E_(1,1) + E_(-1,-1)), the w terms
-    on (0, +-1) and `_expansion_row` on (+-1, +-l)."""
-    row = _expansion_row(hbar, z, band_limit)
-    shape = np.broadcast_shapes(row.shape[:-1], np.shape(w))
-    row = np.broadcast_to(row, shape + row.shape[-1:])
-    w = np.broadcast_to(w, shape)
-    r = band_limit
-    cols = np.arange(r + 1)
-    out = np.zeros(row.shape[:-1] + (2 * r + 1, 2 * r + 1), dtype=np.complex128)
-    for side in (r + cols, r - cols):
-        out[..., r + 1, side] = row
-        out[..., r - 1, side] = row.conj()
-    out[..., r + 1, r + 1] += np.pi / 4.0
-    out[..., r - 1, r - 1] += np.pi / 4.0
-    out[..., r, r + 1] = 0.5j * w
-    out[..., r, r - 1] = -0.5j * w
-    return out
-
-
 def fourier_expansion_theta(hbar: float, w: float, z: float, band_limit: int) -> ExpansionResult:
-    """Mode expansion with Bessel-integral coefficients (`_expansion_windows`);
+    """Mode expansion with Bessel-integral coefficients (`ClosedFormSolution.windows`);
     modes beyond band_limit in the second slot are dropped and bounded in
     the reported tail."""
-    field = FourierField.from_window(_expansion_windows(hbar, w, z, band_limit))
-    s = freq_factor(hbar)
-    x = z * s
-    tail = sum(2.0 * _i_bound(ell, x) / s for ell in range(band_limit + 1, band_limit + 81))
+    sol = ClosedFormSolution(hbar)
+    field = FourierField.from_window(sol.windows(w, z, band_limit))
+    x = z * sol.s
+    tail = sum(2.0 * _i_bound(ell, x) / sol.s for ell in range(band_limit + 1, band_limit + 81))
     return ExpansionResult(
         field=field, tail_bound=float(tail), band_limit=band_limit,
-        hbar=float(hbar), w=float(w), z=float(z),
+        hbar=sol.hbar, w=float(w), z=float(z),
     )
 
 

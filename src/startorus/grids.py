@@ -6,6 +6,7 @@ then a (2R + 1, 2R + 1) window of mode coefficients c_m at [R + m1, R + m2].
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -111,8 +112,8 @@ class GriddedFourierField:
         side = values.shape[-1] if values.ndim > grid.ndim else 0
         if values.shape != grid.shape + (side, side) or side % 2 == 0:
             raise ValueError(f"values shape {values.shape} is not {grid.shape} + (2R+1, 2R+1)")
-        if hbar < 0:
-            raise ValueError("hbar must be >= 0")
+        if not (math.isfinite(hbar) and hbar >= 0):
+            raise ValueError("hbar must be finite and >= 0")
         self.grid = grid
         self.values = values
         self.hbar = float(hbar)

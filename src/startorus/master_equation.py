@@ -20,6 +20,13 @@ and in doubled coordinates (w, z, wt, zt) on a Kahler background
 
 with w = (y + yt)/2 and wt = (y - yt)/2, which collapses to the flat form
 Theta_w wt + Theta_z zt + {Theta_w, Theta_z}_hbar on the identity metric.
+
+The example solution, `ClosedFormSolution`, is one closed form evaluated by
+one branch-free formula.  Its torus modes are Bessel integrals
+I_ell(x) = int_0^x J_ell, x = z s, all taken from one numpy table of
+J_0..J_N per batch of points (`_bessel_table`, `_bessel_integrals`).
+`ClosedFormSolution.windows` lays them out as mode windows at any (w, z),
+and `chiral` folds the same rows (`_expansion_row`).
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ __all__ = [
 ]
 
 _SMALL_HBAR = 1e-4
-_COSQ_CUTOFF = 1e-6
 
 
 def freq_factor(hbar: float) -> float:
@@ -84,7 +90,111 @@ def _bracket(f: FourierField, g: FourierField, hbar: float) -> FourierField:
     return moyal_bracket(f, g, hbar)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Below this |x| the leading series term (x/2)^l / l! is J_l(x) to double
+# precision (the next term is x^2 / (4 (l + 1)) smaller), and one step of the
+# backward recurrence could overflow past the rescaling threshold.
+_TINY_X = 1e-30
+_RESCALE = 1e250
+
+
+def _finite_points(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"Bessel functions need finite arguments, got {float(x[~np.isfinite(x)][0])}")
+    return x
+
+
+def _bessel_table(order: int, x) -> np.ndarray:
+    """J_0(x)..J_order(x) at every point of x, shape (order + 1,) + x.shape.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} (DLMF 3.6(v),
+    10.74(iv)) starts from J_{N+1} = 0, J_N = 1 at an even N above
+    max(order, |x|) plus a margin.  A point's values are divided by a power
+    of two once one of them passes 1e250, and the result is normalised by
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  J_l(-x) = (-1)^l J_l(x);
+    x = 0 gives J_0 = 1 and every other order 0.
+    """
+    x = _finite_points(x)
+    ax = np.abs(x).ravel()
+    out = np.empty((order + 1, ax.size))
+    tiny = ax < _TINY_X
+    steps = 0.5 * ax[tiny] / np.arange(1, order + 1)[:, None]
+    out[:, tiny] = np.cumprod(np.vstack([np.ones((1, steps.shape[1])), steps]), axis=0)
+    xs = ax[~tiny]
+    if xs.size:
+        top = max(order, math.ceil(xs.max()))
+        start = top + 20 + math.isqrt(40 * top + 40)
+        start += start % 2
+        factor = np.arange(start + 1)[:, None] * (2.0 / xs)
+        # |J_{k-1}| <= (growth + 1) max(|J_k|, |J_{k+1}|), so checking every
+        # `every` steps keeps each value below 1e300
+        growth = 2.0 * start / xs.min()
+        every = max(1, int(50.0 // math.log10(growth + 2.0)))
+        rows = np.zeros((start + 2, xs.size))
+        rows[start] = 1.0
+        row, fac = list(rows), list(factor)  # views, indexed fast in the loop
+        for k in range(start, 0, -1):
+            lo = row[k - 1]
+            np.multiply(fac[k], row[k], out=lo)
+            lo -= row[k + 1]
+            if k % every == 0:
+                mag = np.abs(lo)
+                if mag.max() > _RESCALE:
+                    # by powers of two: exact, so where it happens moves no bit
+                    shift = np.where(mag > _RESCALE, -np.frexp(mag)[1], 0)
+                    rows[k - 1 :] *= np.ldexp(1.0, shift)
+        norm = rows[0] + 2.0 * rows[2::2].sum(axis=0)
+        out[:, ~tiny] = rows[: order + 1] / norm
+    out[1::2, x.ravel() < 0] *= -1.0
+    return out.reshape((order + 1,) + x.shape)
+
+
+def _bessel_integrals(order: int, x) -> np.ndarray:
+    """I_0(x)..I_order(x), I_l(x) = int_0^x J_l = 2 sum_k J_{l+2k+1}(x) (DLMF 10.22(i)),
+    at every point of x, shape (order + 1,) + x.shape.
+
+    One table to order + 2 ceil(max |x|) + 62, past which the rest is far
+    below double precision; each I_l is twice a reverse cumulative sum over
+    the orders of the other parity."""
+    x = _finite_points(x)
+    top = order + 2 * math.ceil(np.max(np.abs(x), initial=0.0)) + 62
+    table = _bessel_table(top, x)
+    tails = np.empty_like(table)
+    for parity in (0, 1):
+        tails[parity::2] = np.cumsum(table[parity::2][::-1], axis=0)[::-1]
+    return 2.0 * tails[1 : order + 2]
+
+
+def _i_bound(ell: int, x: float) -> float:
+    """Crude but safe bound on |I_ell(x)| for truncation decisions."""
+    ax = abs(x)
+    if ax == 0.0:
+        return 0.0
+    if ell <= ax + 1.0:
+        return ax  # |J_ell| <= 1
+    # |J_ell(t)| <= (t/2)^ell / ell! once ell clears the argument
+    log_b = (ell + 1) * math.log(ax / 2.0) - math.lgamma(ell + 2) + math.log(2.0)
+    return math.exp(log_b)
+
+
+def _expansion_row(hbar, z, band_limit: int) -> np.ndarray:
+    """Bessel-integral modes c_(1, l), l = 0..band_limit, of the closed-form
+    solution (its c_(1, -l) are the same and its c_(-1, +-l) their
+    conjugates), broadcast over hbar and z, from one table.
+
+    A_0 = -I_0(x)/s, A_{2m-1} = (-1)^m I_{2m-1}(x)/s,
+    A_{2m} = (-1)^(m+1) I_{2m}(x)/s with x = z s; c_(1, l) is A_l/2 for
+    odd l and A_l/(2i) for even l.
+    """
+    if band_limit < 1:
+        raise ValueError("band_limit must be >= 1")
+    s = np.vectorize(freq_factor, otypes=[float])(hbar)
+    s, z = np.broadcast_arrays(s, np.asarray(z, dtype=np.float64))
+    ell = np.arange(band_limit + 1)
+    half = (ell + 1) // 2
+    sign = np.where(ell % 2 == 1, (-1.0) ** half, (-1.0) ** (half + 1))
+    amp = (sign / s[..., None]) * np.moveaxis(_bessel_integrals(band_limit, z * s), 0, -1)
+    return np.where(ell % 2 == 1, 0.5 * amp, -0.5j * amp)
 
 
 class ClosedFormSolution:
@@ -92,14 +202,15 @@ class ClosedFormSolution:
 
     Theta = (pi/2) cos(p+q) - w sin q + [cos(z s cos q + p) - cos p]/(s cos q)
 
-    with s = freq_factor(hbar).  Near cos q = 0 the last term is evaluated
-    as -int_0^z sin(zeta s cos q + p) dzeta by 16-point Gauss-Legendre,
-    which is the same analytic object without the 0/0.
+    with s = freq_factor(hbar).  With a = z s cos q / 2 the last term is
+    -z sin(a + p) sin(a)/a, and `evaluate` takes it in that form, with
+    sin(a)/a = np.sinc(a/pi): one formula with no 0/0, cos q = 0 included.
 
     Its torus modes are known in closed form: Bessel integrals of z s on the
-    modes (+-1, l) (`chiral.fourier_expansion_theta`).  `gridded` fills its
-    mode windows from that expansion; `mode_field` projects sampled values
-    by FFT and is the reference the expansion is checked against.
+    modes (+-1, l) (`_expansion_row`).  `windows` lays them out as band-R
+    mode windows at any (w, z), `gridded` fills a grid's windows from it,
+    and `mode_field` projects sampled values by FFT: the reference the
+    expansion is checked against.
     """
 
     def __init__(self, hbar: float):
@@ -107,29 +218,31 @@ class ClosedFormSolution:
         self.s = freq_factor(self.hbar)
 
     def evaluate(self, w, z, p, q):
-        w, z, p, q = np.broadcast_arrays(
-            np.asarray(w, dtype=np.float64),
-            np.asarray(z, dtype=np.float64),
-            np.asarray(p, dtype=np.float64),
-            np.asarray(q, dtype=np.float64),
-        )
-        cq = np.cos(q)
-        scq = self.s * cq
-        singular = np.abs(cq) < _COSQ_CUTOFF
-        safe = np.where(singular, 1.0, scq)
-        # product form of [cos(z*safe + p) - cos p]/safe; no cancellation
-        # when safe is small, so accuracy holds right up to the cutoff
-        main = -2.0 * np.sin(0.5 * z * safe + p) * np.sin(0.5 * z * safe) / safe
+        """Theta at w, z, p and q broadcast together; a float if all are scalars."""
+        w, z, p, q = (np.asarray(x, dtype=np.float64) for x in (w, z, p, q))
+        a = 0.5 * self.s * np.cos(q) * z
+        out = 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) - z * np.sin(a + p) * np.sinc(a / np.pi)
+        return out if np.ndim(out) else float(out)
 
-        # -int_0^z sin(zeta * s cq + p) dzeta on the singular set
-        term = np.asarray(main)  # 0-d inputs leave a numpy scalar in main
-        half = 0.5 * z[singular]
-        zeta = half[:, None] * (_GL_NODES + 1.0)
-        term[singular] = -np.sum(
-            _GL_WEIGHTS * np.sin(zeta * scq[singular][:, None] + p[singular][:, None]), axis=-1
-        ) * half
-        out = 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) + term
-        return out if out.shape else float(out)
+    def windows(self, w, z, band_limit: int) -> np.ndarray:
+        """Mode windows [..., R + m1, R + m2], R = band_limit, at w and z
+        broadcast together: (pi/4) (E_(1,1) + E_(-1,-1)), the w terms on
+        (0, +-1) and `_expansion_row` on (+-1, +-l), from one Bessel table."""
+        row = _expansion_row(self.hbar, z, band_limit)
+        shape = np.broadcast_shapes(row.shape[:-1], np.shape(w))
+        row = np.broadcast_to(row, shape + row.shape[-1:])
+        w = np.broadcast_to(w, shape)
+        r = band_limit
+        cols = np.arange(r + 1)
+        out = np.zeros(shape + (2 * r + 1, 2 * r + 1), dtype=np.complex128)
+        for side in (r + cols, r - cols):
+            out[..., r + 1, side] = row
+            out[..., r - 1, side] = row.conj()
+        out[..., r + 1, r + 1] += np.pi / 4.0
+        out[..., r - 1, r - 1] += np.pi / 4.0
+        out[..., r, r + 1] = 0.5j * w
+        out[..., r, r - 1] = -0.5j * w
+        return out
 
     def mode_field(self, w: float, z: float, band_limit: int, torus_n: int = 128) -> FourierField:
         """Torus-mode content at fixed (w, z) by FFT projection of sampled
@@ -139,15 +252,10 @@ class ClosedFormSolution:
         return fft_project(np.asarray(samples, dtype=np.complex128), band_limit)
 
     def gridded(self, grid: SpacetimeGrid, band_limit: int) -> GriddedFourierField:
-        """Mode windows at every (w, z) node from the closed-form expansion,
-        with no torus sampling; |c| <= DEFAULT_PRUNE is zeroed, as in
-        `GriddedFourierField.sample`."""
-        from .chiral import _expansion_windows  # chiral imports this module
-
+        """`windows` at every (w, z) node, with no torus sampling;
+        |c| <= DEFAULT_PRUNE is zeroed, as in `GriddedFourierField.sample`."""
         checked_grid(grid, ("w", "z"), nodes=2)
-        values = _expansion_windows(
-            self.hbar, grid.axis("w")[:, None], grid.axis("z")[None, :], band_limit
-        )
+        values = self.windows(grid.axis("w")[:, None], grid.axis("z")[None, :], band_limit)
         values[np.abs(values) <= DEFAULT_PRUNE] = 0.0
         return GriddedFourierField(grid, values, self.hbar)
 
@@ -287,8 +395,8 @@ def kowalewska_series(theta0, theta1, hbar: float, terms: int) -> SeriesSolution
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
-    if hbar < 0:
-        raise ValueError("hbar must be >= 0")
+    if not (math.isfinite(hbar) and hbar >= 0):
+        raise ValueError("hbar must be finite and >= 0")
     orders = [_as_wpoly(theta0), _as_wpoly(theta1)]
     d_w = [theta.d_dw() for theta in orders]  # d_w Theta_j, taken once per order
     for k in range(2, terms):

@@ -28,8 +28,9 @@ from startorus import (
     residual_chiral,
     richardson_order,
 )
-from startorus import chiral
-from startorus.chiral import _bessel_integrals, _bessel_table, _frobenius, _i_bound
+from startorus import chiral, master_equation
+from startorus.chiral import _frobenius
+from startorus.master_equation import _bessel_integrals, _bessel_table, _i_bound
 from startorus.numerics import grid_diff, grid_diff2
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -356,7 +357,7 @@ def test_coefficient_that_never_converges_raises(monkeypatch):
     def no_table(*args):
         raise AssertionError("Bessel table built")
 
-    monkeypatch.setattr(chiral, "_bessel_table", no_table)
+    monkeypatch.setattr(master_equation, "_bessel_table", no_table)
     with pytest.raises(ValueError, match=r"below order 1806 at x = "):
         chiral_model(3).field_matrix(0.0, 1e30)
 

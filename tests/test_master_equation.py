@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from startorus import (
+    DEFAULT_PRUNE,
     FourierField,
     GriddedFourierField,
     KahlerBackground,
@@ -14,6 +15,7 @@ from startorus import (
     WPolyField,
     example_cauchy_data,
     example_solution,
+    fourier_expansion_theta,
     freq_factor,
     kowalewska_series,
     moyal_bracket,
@@ -22,6 +24,7 @@ from startorus import (
     residual_me_kahler,
     residual_moyal_hp,
     richardson_order,
+    torus_nodes,
 )
 from startorus.numerics import grid_diff2
 
@@ -54,6 +57,10 @@ def test_non_finite_hbar_is_rejected(hbar):
         freq_factor(hbar)
     with pytest.raises(ValueError, match="finite"):
         example_solution(hbar)
+    with pytest.raises(ValueError, match="hbar must be finite and >= 0"):
+        GriddedFourierField(SpacetimeGrid({"w": [0.0, 1.0]}), np.zeros((2, 3, 3)), hbar)
+    with pytest.raises(ValueError, match="hbar must be finite and >= 0"):
+        kowalewska_series(*example_cauchy_data(), hbar, terms=2)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +112,10 @@ def test_evaluate_exactly_on_the_singular_line():
         assert abs(sol.evaluate(w, z, p, q) - want) < 1e-12
 
 
-def all_node_evaluate(sol, w, z, p, q):
-    """The closed form with the quadrature run at every node, then masked."""
+def two_branch_evaluate(sol, w, z, p, q):
+    """The closed form by two branches, kept as a reference: the product
+    form off cos q = 0 and 16-point Gauss-Legendre quadrature of
+    -int_0^z sin(zeta s cos q + p) dzeta where |cos q| < 1e-6."""
     w, z, p, q = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (w, z, p, q)))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     scq = sol.s * np.cos(q)
@@ -119,25 +128,21 @@ def all_node_evaluate(sol, w, z, p, q):
     return 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) + np.where(singular, quad, main)
 
 
-def test_evaluate_runs_quadrature_only_where_used():
-    from startorus import torus_nodes
-
+def test_evaluate_matches_the_two_branch_formula():
+    # with a = z s cos q / 2, [cos(2a + p) - cos p]/(s cos q) is
+    # -z sin(a + p) sin(a)/a: one formula for both sides of the old cutoff
     P, Q = torus_nodes(128)
-    Q[:, 7] = np.pi / 2  # forced singular columns on both branches
+    Q[:, 7] = np.pi / 2  # forced columns on both sides of cos q = 0
     Q[:, 40] = 1.5 * np.pi + 3e-7
     for hbar in (0.0, 2 * np.pi / 5):
         sol = example_solution(hbar)
-        for w, z in ((0.1, 0.3), (-0.3, 0.9)):
+        for w, z in ((0.1, 0.3), (-0.3, 0.9), (0.2, 1e-9), (0.5, -1.7), (-0.1, 4.0)):
             got = sol.evaluate(w, z, P, Q)
-            assert np.array_equal(got, all_node_evaluate(sol, w, z, P, Q))
-        for q in (np.pi / 2, 0.4):
-            got = sol.evaluate(0.2, 0.5, 1.1, q)
+            assert np.max(np.abs(got - two_branch_evaluate(sol, w, z, P, Q))) <= 4e-15
+        for w, q in ((0.2, np.pi / 2), (0.2, 0.4), (np.array(0.2), np.pi / 2)):
+            got = sol.evaluate(w, 0.5, 1.1, q)
             assert isinstance(got, float)
-            assert np.array_equal(got, all_node_evaluate(sol, 0.2, 0.5, 1.1, q))
-        assert np.array_equal(
-            sol.evaluate(np.array(0.2), 0.5, 1.1, np.pi / 2),
-            all_node_evaluate(sol, 0.2, 0.5, 1.1, np.pi / 2),
-        )
+            assert abs(got - two_branch_evaluate(sol, w, 0.5, 1.1, q)) <= 4e-15
 
 
 def test_evaluate_broadcasts_and_is_real():
@@ -185,6 +190,32 @@ def test_gridded_expansion_matches_torus_sampling(hbar):
     assert got.hbar == want.hbar == hbar
     assert np.max(np.abs(got.values - want.values)) <= 1e-13
     assert np.count_nonzero(got.values) == np.count_nonzero(want.values)
+
+
+@pytest.mark.parametrize("hbar", [0.0, 2 * np.pi / 8])
+def test_windows_broadcast_and_match_the_pointwise_expansion(hbar):
+    sol = example_solution(hbar)
+    w = np.linspace(-0.3, 0.4, 3).reshape(3, 1, 1)
+    z = np.linspace(-1.1, 2.3, 20).reshape(1, 4, 5)
+    got = sol.windows(w, z, 9)
+    assert got.shape == (3, 4, 5, 19, 19)
+    pruned = np.where(np.abs(got) <= DEFAULT_PRUNE, 0.0, got)
+    for i, j, k in np.ndindex(3, 4, 5):
+        wi, zj = float(w[i, 0, 0]), float(z[0, j, k])
+        want = fourier_expansion_theta(hbar, wi, zj, 9).field.window(9)
+        # one point at a time, the same arithmetic to the bit
+        point = sol.windows(wi, zj, 9)
+        assert np.array_equal(np.where(np.abs(point) <= DEFAULT_PRUNE, 0.0, point), want)
+        # one Bessel table per batch starts its recurrence past the batch's
+        # largest |z s|, which moves the last bit of some coefficients
+        assert np.max(np.abs(pruned[i, j, k] - want)) <= 1e-15
+    # w enters no Bessel table: broadcasting over it is exact
+    for i in range(3):
+        assert np.array_equal(got[i], sol.windows(float(w[i, 0, 0]), z[0], 9))
+    grid = SpacetimeGrid({"w": w.ravel(), "z": z.ravel()})
+    windows = sol.windows(w.reshape(3, 1), z.reshape(1, 20), 9)
+    windows[np.abs(windows) <= DEFAULT_PRUNE] = 0.0
+    assert np.array_equal(sol.gridded(grid, 9).values, windows)
 
 
 def test_gridded_requires_wz_axes():
