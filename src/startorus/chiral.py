@@ -335,10 +335,14 @@ class BesselIdentityReport:
         }
 
 
-def bessel_identity_check(
-    zeta_max: float = 4.0, terms: int = 40, samples: int = 401
-) -> BesselIdentityReport:
-    zeta = np.linspace(0.0, zeta_max, samples)
+# zeta nodes of bessel_identity_check on [0, zeta_max]
+_BESSEL_SAMPLES = 401
+
+
+def bessel_identity_check(zeta_max: float = 4.0, terms: int = 40) -> BesselIdentityReport:
+    if not (np.isfinite(zeta_max) and zeta_max > 0) or terms < 5:
+        raise ValueError("need a finite zeta_max > 0 and terms >= 5")
+    zeta = np.linspace(0.0, zeta_max, _BESSEL_SAMPLES)
     table = _bessel_table(2 * terms + 1, zeta)
     signs = (-1.0) ** np.arange(terms + 1)
     odd_sum = signs @ table[1::2]  # sum_k (-1)^k J_{2k+1}, k = 0..terms

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: star, basis, project, solve, verify-me, verify-chiral,
-curvature, converge, bessel-check.  Values come from flags first, then an
-optional config file of `key = value` lines, then built-in defaults.
+curvature, converge, bessel-check.  Each parameter in PARAMETERS is a flag
+and a config key; its value comes from the flag first, then an optional
+config file of `key = value` lines, then the built-in default.
 Output is deterministic: sorted JSON keys, shortest round-trip floats,
 CSV with a header row and LF endings.  Exit status 0 on success, 1 on
 validation errors, 2 when a numerical contract is violated.
@@ -39,6 +40,31 @@ from .sine_basis import matrix_to_json, verify_basis_properties
 
 ORDER_BAND = (1.7, 2.3)
 OUT_DIR_ENV = "STARTORUS_OUT"
+
+# subcommand -> {parameter: (default, type)}.  Each parameter is the flag
+# --name (dashes for underscores) and the config key name; a flag wins over
+# the config file, the file over the default.
+PARAMETERS = {
+    "star": {"f": (None, str), "g": (None, str), "op": ("moyal", str), "hbar": (1.0, float)},
+    "basis": {"n": (3, int)},
+    "project": {"n": (2, int), "modes": (None, str)},
+    "solve": {"terms": (12, int), "hbar": (0.0, float), "w": (0.0, float), "z": (0.4, float)},
+    "verify-me": {"hbar": (1e-3, float), "h": (0.05, float), "band_limit": (24, int)},
+    "verify-chiral": {
+        "n": (2, int),
+        "h": (0.03125, float),
+        "grid_w": ("-1:1", str),
+        "grid_z": ("0:2", str),
+        "dump": (None, str),
+    },
+    "curvature": {"points": (8, int), "seed": (0, int), "step": (1e-3, float)},
+    "converge": {
+        "n_list": ("2,4,8,16,32", str),
+        "band_limit": (40, int),
+        "hbar_ref": (1e-8, float),
+    },
+    "bessel-check": {"zeta_max": (4.0, float), "terms": (40, int)},
+}
 
 
 class ContractViolation(Exception):
@@ -90,16 +116,21 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.strip()!r}")
             key, value = line.split("=", 1)
-            table[key.strip().replace("-", "_")] = value.strip()
+            table[key.strip()] = value.strip()
     return table
 
 
-def _settle(args, spec: dict) -> dict:
-    """Resolve parameters: flag > config file > default."""
+def _settle(args) -> dict:
+    """Resolve the subcommand's PARAMETERS: flag > config file > default."""
+    spec = PARAMETERS[args.command]
     cfg = _load_config(args.config) if args.config else {}
+    unknown = [key for key in cfg if key.replace("-", "_") not in spec]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} for {args.command}")
+    cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
     out = {}
     for key, (default, cast) in spec.items():
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             out[key] = flag
         elif key in cfg:
@@ -123,12 +154,11 @@ def _field_payload(field: FourierField) -> dict:
 # -- subcommands --------------------------------------------------------
 
 
-def cmd_star(args) -> int:
-    p = _settle(args, {"op": ("moyal", str), "hbar": (1.0, float)})
-    if args.f is None or args.g is None:
+def cmd_star(p, out) -> int:
+    if p["f"] is None or p["g"] is None:
         raise ValueError("star needs --f and --g mode lists")
-    f = _parse_field(args.f)
-    g = _parse_field(args.g)
+    f = _parse_field(p["f"])
+    g = _parse_field(p["g"])
     op = p["op"]
     if op == "star":
         result = star_product(f, g, p["hbar"])
@@ -141,41 +171,25 @@ def cmd_star(args) -> int:
     payload = {"op": op, "result": _field_payload(result)}
     if op != "poisson":
         payload["hbar"] = p["hbar"]
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(payload), out)
     return 0
 
 
-def cmd_basis(args) -> int:
-    p = _settle(args, {"n": (3, int)})
-    if p["n"] < 2:
-        raise ValueError("n must be >= 2")
+def cmd_basis(p, out) -> int:
     report = verify_basis_properties(p["n"])
-    _emit(_json_text(report.to_dict()), args.out)
+    _emit(_json_text(report.to_dict()), out)
     return 0
 
 
-def cmd_project(args) -> int:
-    p = _settle(args, {"n": (2, int)})
-    if p["n"] < 2:
-        raise ValueError("n must be >= 2")
-    if args.modes is None:
+def cmd_project(p, out) -> int:
+    if p["modes"] is None:
         raise ValueError("project needs --modes")
-    field = _parse_field(args.modes)
-    mat = chi_project(field, p["n"])
-    _emit(matrix_to_json(mat) + "\n", args.out)
+    mat = chi_project(_parse_field(p["modes"]), p["n"])
+    _emit(matrix_to_json(mat) + "\n", out)
     return 0
 
 
-def cmd_solve(args) -> int:
-    p = _settle(
-        args,
-        {
-            "terms": (12, int),
-            "hbar": (0.0, float),
-            "w": (0.0, float),
-            "z": (0.4, float),
-        },
-    )
+def cmd_solve(p, out) -> int:
     theta0, theta1 = example_cauchy_data()
     series = kowalewska_series(theta0, theta1, p["hbar"], p["terms"])
     field = series.field_at(p["w"], p["z"])
@@ -188,7 +202,7 @@ def cmd_solve(args) -> int:
         "tail_estimate": series.tail_estimate(p["w"], p["z"]),
         "field": _field_payload(field),
     }
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(payload), out)
     return 0
 
 
@@ -203,53 +217,32 @@ def _refinement_rows(make_report, h: float, prefix):
     return rows, order
 
 
-def cmd_verify_me(args) -> int:
-    p = _settle(
-        args,
-        {
-            "hbar": (1e-3, float),
-            "h": (0.05, float),
-            "band_limit": (24, int),
-        },
-    )
-    if not (np.isfinite(p["h"]) and p["h"] > 0):
-        raise ValueError(f"h must be finite and > 0, got {p['h']!r}")
-    solution = example_solution(p["hbar"])
-    w_axis = np.linspace(-0.3, 0.3, 3)
-
-    def make_report(h):
-        count = 0.8 / h
-        nz = int(round(count))
-        if abs(count - nz) > 1e-9 or nz < 2:
-            raise ValueError("z span 0.8 must be an integer multiple of h")
-        grid = SpacetimeGrid({"w": w_axis, "z": np.linspace(0.1, 0.9, nz + 1)})
-        gridded = solution.gridded(grid, p["band_limit"])
-        return residual_moyal_hp(gridded)
-
-    rows, order = _refinement_rows(make_report, p["h"], [p["hbar"]])
-    text = _csv(["hbar", "h", "sup_residual", "rms_residual", "observed_order"], rows)
-    _emit(text, args.out)
+def _check_order(order: float):
     if not ORDER_BAND[0] <= order <= ORDER_BAND[1]:
         raise ContractViolation(
             f"residual order {order:.3f} outside {ORDER_BAND[0]}..{ORDER_BAND[1]}"
         )
+
+
+def cmd_verify_me(p, out) -> int:
+    solution = example_solution(p["hbar"])
+    w_axis = np.linspace(-0.3, 0.3, 3)
+
+    def make_report(h):
+        z_axis = SpacetimeGrid.regular({"z": (0.1, 0.9)}, h).axis("z")
+        gridded = solution.gridded(SpacetimeGrid({"w": w_axis, "z": z_axis}), p["band_limit"])
+        return residual_moyal_hp(gridded)
+
+    rows, order = _refinement_rows(make_report, p["h"], [p["hbar"]])
+    _emit(_csv(["hbar", "h", "sup_residual", "rms_residual", "observed_order"], rows), out)
+    _check_order(order)
     return 0
 
 
-def cmd_verify_chiral(args) -> int:
-    p = _settle(
-        args,
-        {
-            "n": (2, int),
-            "h": (0.03125, float),
-            "grid_w": ("-1:1", str),
-            "grid_z": ("0:2", str),
-        },
-    )
-    if p["n"] < 2:
-        raise ValueError("n must be >= 2")
+def cmd_verify_chiral(p, out) -> int:
     spans = {}
-    for name, text in (("w", p["grid_w"]), ("z", p["grid_z"])):
+    for name in ("w", "z"):
+        text = p["grid_" + name]
         lo, _, hi = text.partition(":")
         try:
             spans[name] = (float(lo), float(hi))
@@ -264,14 +257,13 @@ def cmd_verify_chiral(args) -> int:
         grid = SpacetimeGrid.regular(spans, h)
         field = model.matrix_field(grid)
         report = residual_chiral(field)
-        if args.dump is not None and h == p["h"]:
+        if p["dump"] is not None and h == p["h"]:
             kept[h] = (grid, field, report)
         return report
 
     rows, order = _refinement_rows(make_report, p["h"], [p["n"]])
-    text = _csv(["n", "h", "sup_residual", "rms_residual", "observed_order"], rows)
-    _emit(text, args.out)
-    if args.dump is not None:
+    _emit(_csv(["n", "h", "sup_residual", "rms_residual", "observed_order"], rows), out)
+    if p["dump"] is not None:
         grid, field, report = kept[p["h"]]
         nd = p["n"]
         header = ["w", "z", "residual"]
@@ -281,19 +273,12 @@ def cmd_verify_chiral(args) -> int:
         ws, zs = np.meshgrid(grid.axis("w")[1:-1], grid.axis("z")[1:-1], indexing="ij")
         parts = np.stack([inner.real, inner.imag], axis=-1).reshape(ws.size, -1)
         table = np.column_stack([ws.ravel(), zs.ravel(), report.per_point.ravel(), parts])
-        _emit(_csv(header, table.tolist()), args.dump)
-    if not ORDER_BAND[0] <= order <= ORDER_BAND[1]:
-        raise ContractViolation(
-            f"residual order {order:.3f} outside {ORDER_BAND[0]}..{ORDER_BAND[1]}"
-        )
+        _emit(_csv(header, table.tolist()), p["dump"])
+    _check_order(order)
     return 0
 
 
-def cmd_curvature(args) -> int:
-    p = _settle(
-        args,
-        {"points": (8, int), "seed": (0, int), "step": (1e-3, float)},
-    )
+def cmd_curvature(p, out) -> int:
     if p["points"] < 1:
         raise ValueError("points must be >= 1")
     points = admissible_points(p["points"], seed=p["seed"])
@@ -303,39 +288,25 @@ def cmd_curvature(args) -> int:
         for pt, s in zip(points, report.samples)
     ]
     header = ["w", "z", "p", "q", "C1_re", "C1_im", "dotted_norm", "structure_residual"]
-    _emit(_csv(header, rows), args.out)
+    _emit(_csv(header, rows), out)
     return 0
 
 
-def cmd_converge(args) -> int:
-    p = _settle(
-        args,
-        {
-            "n_list": ("2,4,8,16,32", str),
-            "band_limit": (40, int),
-            "hbar_ref": (1e-8, float),
-        },
-    )
+def cmd_converge(p, out) -> int:
     try:
         ns = [int(tok) for tok in p["n_list"].split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--n-list must be comma-separated integers, got {p['n_list']!r}") from None
     report = convergence_study(ns, band_limit=p["band_limit"], hbar_ref=p["hbar_ref"])
-    rows = [
-        [n, d, report.exponent]
-        for n, d in zip(report.n_values, report.distances)
-    ]
-    rows = [[str(int(n)), _fmt(d), _fmt(e)] for n, d, e in rows]
-    _emit(_csv(["n", "d", "fitted_exponent"], rows), args.out)
+    exponent = _fmt(report.exponent)
+    rows = [[str(int(n)), _fmt(d), exponent] for n, d in zip(report.n_values, report.distances)]
+    _emit(_csv(["n", "d", "fitted_exponent"], rows), out)
     return 0
 
 
-def cmd_bessel_check(args) -> int:
-    p = _settle(args, {"zeta_max": (4.0, float), "terms": (40, int)})
-    if not (p["zeta_max"] > 0 and np.isfinite(p["zeta_max"])) or p["terms"] < 5:
-        raise ValueError("need a finite zeta_max > 0 and terms >= 5")
+def cmd_bessel_check(p, out) -> int:
     report = bessel_identity_check(zeta_max=p["zeta_max"], terms=p["terms"])
-    _emit(_json_text(report.to_dict()), args.out)
+    _emit(_json_text(report.to_dict()), out)
     return 0
 
 
@@ -345,88 +316,12 @@ def cmd_bessel_check(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="startorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, fn, flags):
+    for name, spec in PARAMETERS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=None)
-        for flag, kwargs in flags.items():
-            sp.add_argument(flag, **kwargs)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add(
-        "star",
-        cmd_star,
-        {
-            "--f": {"default": None},
-            "--g": {"default": None},
-            "--op": {"default": None, "choices": ["star", "moyal", "poisson"]},
-            "--hbar": {"default": None, "type": float},
-        },
-    )
-    add("basis", cmd_basis, {"--n": {"default": None, "type": int}})
-    add(
-        "project",
-        cmd_project,
-        {"--n": {"default": None, "type": int}, "--modes": {"default": None}},
-    )
-    add(
-        "solve",
-        cmd_solve,
-        {
-            "--terms": {"default": None, "type": int},
-            "--hbar": {"default": None, "type": float},
-            "--w": {"default": None, "type": float},
-            "--z": {"default": None, "type": float},
-        },
-    )
-    add(
-        "verify-me",
-        cmd_verify_me,
-        {
-            "--hbar": {"default": None, "type": float},
-            "--h": {"default": None, "type": float},
-            "--band-limit": {"default": None, "type": int, "dest": "band_limit"},
-        },
-    )
-    add(
-        "verify-chiral",
-        cmd_verify_chiral,
-        {
-            "--n": {"default": None, "type": int},
-            "--h": {"default": None, "type": float},
-            "--grid-w": {"default": None, "dest": "grid_w"},
-            "--grid-z": {"default": None, "dest": "grid_z"},
-            "--dump": {"default": None},
-        },
-    )
-    add(
-        "curvature",
-        cmd_curvature,
-        {
-            "--points": {"default": None, "type": int},
-            "--seed": {"default": None, "type": int},
-            "--step": {"default": None, "type": float},
-        },
-    )
-    add(
-        "converge",
-        cmd_converge,
-        {
-            "--n-list": {"default": None, "dest": "n_list"},
-            "--band-limit": {"default": None, "type": int, "dest": "band_limit"},
-            "--hbar-ref": {"default": None, "type": float, "dest": "hbar_ref"},
-        },
-    )
-    add(
-        "bessel-check",
-        cmd_bessel_check,
-        {
-            "--zeta-max": {"default": None, "type": float, "dest": "zeta_max"},
-            "--terms": {"default": None, "type": int},
-        },
-    )
+        for key, (_, cast) in spec.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=cast, default=None)
     return parser
 
 
@@ -458,14 +353,12 @@ def _join_span_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_span_values(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_join_span_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
-    except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 2
-    except SingularMetricError as exc:
+        # looked up per call, so a rebound cmd_* (a wrapper, a tracer) runs
+        cmd = globals()["cmd_" + args.command.replace("-", "_")]
+        return cmd(_settle(args), args.out)
+    except (ContractViolation, SingularMetricError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -141,10 +141,14 @@ class MetricField:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def hp_metric(theta: ThetaDerivatives, point, bracket_tol: float = 1e-12) -> MetricField:
+# |{Theta_w, Theta_z}| below this makes hp_metric's metric degenerate
+_BRACKET_TOL = 1e-12
+
+
+def hp_metric(theta: ThetaDerivatives, point) -> MetricField:
     """Assemble the heavenly metric from a derivative pack at one point."""
     d = theta.bracket_wz(point)
-    if abs(d) < bracket_tol:
+    if abs(d) < _BRACKET_TOL:
         raise SingularMetricError(
             f"degenerate metric, bracket {d!r}", location=tuple(point)
         )

@@ -507,6 +507,12 @@ def residual_me_flat(field: GriddedFourierField) -> ResidualReport:
     )
 
 
+# step of the potential's cross differences in KahlerBackground.metric
+_FD_STEP = 1e-4
+# |det| of a metric block below this aborts residual_me_kahler
+_DET_TOL = 1e-10
+
+
 class KahlerBackground:
     """Background data for the doubled-coordinate master equation.
 
@@ -521,14 +527,12 @@ class KahlerBackground:
         potential: Optional[Callable] = None,
         metric_fn: Optional[Callable] = None,
         volume: Optional[Callable] = None,
-        fd_step: float = 1e-4,
     ):
         if potential is None and metric_fn is None:
             raise ValueError("need a potential or a closed-form metric")
         self.potential = potential
         self.metric_fn = metric_fn
         self.volume = volume if volume is not None else (lambda point: 1.0)
-        self.fd_step = float(fd_step)
 
     @classmethod
     def flat(cls) -> "KahlerBackground":
@@ -544,20 +548,19 @@ class KahlerBackground:
         m = np.empty((2, 2))
         for a in range(2):
             for b in range(2):
-                m[a, b] = cross_diff(self.potential, point, a, 2 + b, self.fd_step)
+                m[a, b] = cross_diff(self.potential, point, a, 2 + b, _FD_STEP)
         return m
 
 
 def residual_me_kahler(
     field: GriddedFourierField,
     background: KahlerBackground,
-    det_tol: float = 1e-10,
 ) -> ResidualReport:
     """Residual of the doubled master equation on a Kahler background.
 
     The field lives on axes ('y', 'yt', 'z', 'zt'); the background metric
     is read at (w, z, wt, zt) with w = (y + yt)/2 and wt = (y - yt)/2.
-    A metric block with |det| below det_tol aborts with the grid location.
+    A metric block with |det| below _DET_TOL aborts with the grid location.
     """
     grid = checked_grid(field.grid, ("y", "yt", "z", "zt"))
     v = field.values
@@ -569,7 +572,7 @@ def residual_me_kahler(
         w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
         metric[idx] = background.metric(w_pt)
         det = float(np.linalg.det(metric[idx]))
-        if abs(det) < det_tol:
+        if abs(det) < _DET_TOL:
             raise SingularMetricError(f"metric block degenerate (det={det!r})", location=w_pt)
         vol[idx] = background.volume(w_pt)
     ginv = np.moveaxis(np.linalg.inv(metric), (-2, -1), (0, 1))[..., None, None]

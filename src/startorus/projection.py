@@ -87,14 +87,18 @@ class MatrixField:
         return float(np.max(np.abs(tr))) if tr.size else 0.0
 
 
-def chi_project_gridded(field: GriddedFourierField, n: int, hbar_tol: float = 1e-12) -> MatrixField:
+# how far a gridded field's hbar may sit from 2 pi / n for chi_project_gridded
+_HBAR_TOL = 1e-12
+
+
+def chi_project_gridded(field: GriddedFourierField, n: int) -> MatrixField:
     """Fold every node of a gridded mode field at the matched hbar.
 
     Refuses fields whose deformation value is not 2 pi / n, since folding
     only commutes with the bracket at the matched value.
     """
     target = matched_hbar(n)
-    if abs(field.hbar - target) > hbar_tol:
+    if abs(field.hbar - target) > _HBAR_TOL:
         raise ValueError(
             f"gridded field carries hbar={field.hbar!r}, expected 2*pi/{n}={target!r}"
         )

@@ -156,9 +156,12 @@ def det_closed_form(n: int, m1: int, m2: int) -> complex:
     return sign * (1j * n / (2.0 * np.pi)) ** n
 
 
+# periodicity is checked for the shifts m -> m + n r with |r1|, |r2| <= this
+_SHIFT_RANGE = 2
+
+
 def verify_basis_properties(
     n: int,
-    shift_range: int = 2,
     tol: float = 1e-11,
     det_rtol: float = 1e-10,
 ) -> BasisPropertyReport:
@@ -170,12 +173,14 @@ def verify_basis_properties(
     equalities), and the determinant closed form; LAPACK checks the last
     two on each dense L_mu, monomial arithmetic the rest.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     pref = 1j * n / (2.0 * np.pi)
     window = fundamental_window(n)
     mu1, mu2 = np.array(window).T
     col, val = _monomial(n, mu1, mu2)
     rows = np.arange(n)
-    r1, r2 = (r.ravel() for r in np.indices((2 * shift_range + 1,) * 2) - shift_range)
+    r1, r2 = (r.ravel() for r in np.indices((2 * _SHIFT_RANGE + 1,) * 2) - _SHIFT_RANGE)
     d_per = d_prod = d_comm = d_inv = d_det = d_naive = 0.0
     for s1, s2 in zip(r1, r2):
         (f1, f2), sign = fold_mode(n, mu1 + n * s1, mu2 + n * s2)

@@ -142,6 +142,15 @@ def test_bessel_identity_report():
     assert d["terms"] == 40
 
 
+@pytest.mark.parametrize(
+    "zeta_max,terms", [(np.inf, 40), (np.nan, 40), (0.0, 40), (-1.0, 40), (4.0, 4)]
+)
+def test_bessel_identity_check_rejects_bad_ranges(zeta_max, terms):
+    # an infinite zeta_max once gave a nan report and a RuntimeWarning
+    with pytest.raises(ValueError, match="finite zeta_max > 0 and terms >= 5"):
+        bessel_identity_check(zeta_max=zeta_max, terms=terms)
+
+
 # ---------------------------------------------------------------------------
 # rank-2 closed form
 

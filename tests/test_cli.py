@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -241,6 +242,105 @@ def test_config_dashed_keys_and_malformed(capsys, tmp_path):
     code, _, err = run(capsys, "bessel-check", "--config", str(bad))
     assert code == 1
     assert "malformed" in err
+
+
+# quick inputs for each subcommand, and a value other than the default for
+# every parameter of cli.PARAMETERS; "DUMP" stands for a file under tmp_path
+QUICK = {
+    "star": {"f": "[[1,0,1,0]]", "g": "[[0,1,1,0]]"},
+    "basis": {},
+    "project": {"modes": "[[1,1,0.5,0]]"},
+    "solve": {"terms": "4"},
+    "verify-me": {"h": "0.1", "band_limit": "16"},
+    "verify-chiral": {"h": "0.125"},
+    "curvature": {"points": "1"},
+    "converge": {"n_list": "2,4"},
+    "bessel-check": {},
+}
+OTHER = {
+    "star": {"f": "[[2,1,0.5,0]]", "g": "[[1,-1,0,2]]", "op": "star", "hbar": "0.25"},
+    "basis": {"n": "4"},
+    "project": {"n": "3", "modes": "[[2,1,0.25,1]]"},
+    "solve": {"terms": "5", "hbar": "0.3", "w": "0.1", "z": "0.3"},
+    "verify-me": {"hbar": "0.002", "h": "0.2", "band_limit": "12"},
+    "verify-chiral": {
+        "n": "3", "h": "0.25", "grid_w": "-0.5:0.5", "grid_z": "0:1", "dump": "DUMP",
+    },
+    "curvature": {"points": "2", "seed": "3", "step": "0.002"},
+    "converge": {"n_list": "2,3", "band_limit": "24", "hbar_ref": "1e-7"},
+    "bessel-check": {"zeta_max": "3.0", "terms": "20"},
+}
+
+
+def test_every_parameter_has_a_test_value():
+    import startorus.cli as cli
+
+    assert {name: set(spec) for name, spec in cli.PARAMETERS.items()} == {
+        name: set(values) for name, values in OTHER.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "command,key", [(name, key) for name, values in OTHER.items() for key in values]
+)
+def test_flag_and_config_key_give_the_same_output(capsys, tmp_path, command, key):
+    dump = tmp_path / "dump.csv"
+    value = OTHER[command][key].replace("DUMP", str(dump))
+    quick = {k: v for k, v in QUICK[command].items() if k != key}
+    argv = [command] + [tok for k, v in quick.items() for tok in ("--" + k.replace("_", "-"), v)]
+
+    def outputs(*extra):
+        code, out, _ = run(capsys, *argv, *extra)
+        text = dump.read_text() if dump.exists() else None
+        dump.unlink(missing_ok=True)
+        return code, out, text
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key.replace('_', '-')} = {value}\n")
+    by_flag = outputs("--" + key.replace("_", "-"), value)
+    assert by_flag == outputs("--config", str(cfg))
+    assert by_flag != outputs()  # the value was read, not the default
+
+
+@pytest.mark.parametrize("command", list(OTHER))
+def test_help_lists_the_table_flags(capsys, command):
+    import startorus.cli as cli
+
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    flags = {"--" + key.replace("_", "-") for key in cli.PARAMETERS[command]}
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == flags | {"--help", "--config", "--out"}
+
+
+def test_main_finds_the_subcommand_when_called(capsys, monkeypatch):
+    import startorus.cli as cli
+
+    seen = []
+    plain = cli.cmd_basis
+
+    def wrapper(p, out):
+        seen.append(p)
+        return plain(p, out)
+
+    monkeypatch.setattr(cli, "cmd_basis", wrapper)
+    code, out, _ = run(capsys, "basis")
+    assert code == 0
+    assert seen == [{"n": 3}]
+    assert json.loads(out)["n"] == 3
+
+
+def test_unknown_config_key_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\nbogus_key = 7\n")
+    code, out, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "bogus_key" in err
+    # a key of another subcommand is unknown here too
+    cfg.write_text("zeta-max = 2.0\n")
+    code, _, err = run(capsys, "basis", "--config", str(cfg))
+    assert code == 1
+    assert "zeta-max" in err
 
 
 def test_out_file_and_env_redirect(capsys, tmp_path, monkeypatch):

@@ -267,6 +267,13 @@ def test_monomial_checks_agree_with_dense_products(monkeypatch, n, defect):
         assert report.deviations[key] == pytest.approx(want, rel=1e-9, abs=1e-13), key
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_basis_report_needs_n_at_least_two(n):
+    # n = 1 once failed unpacking the one-mode window
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        verify_basis_properties(n)
+
+
 @pytest.mark.parametrize("defect", ["phase", "column"])
 def test_planted_defect_fails_the_report(monkeypatch, defect):
     plant(monkeypatch, (2, 3), defect)
