@@ -31,10 +31,12 @@ either route, so they stay exactly antisymmetric.
 
 The FFT route's row kernel, `_fft_rows`, works on dense coefficient windows
 (..., 2R+1, 2R+1) with any leading batch axes, so the gridded residuals of
-`master_equation` take every node's bracket in one call.  It transforms only
-the m1 rows occupied in some window of each operand and returns only the
-occupied output rows.  Its row-FFT blocks and their temporaries hold at most
-_FFT_BATCH complex entries counted over the batch axes (16 MB).
+`master_equation` take every node's bracket in one pass, weighted by
+`_bracket_weight` and not antisymmetrized (a residual norm needs no exact
+antisymmetry).  It transforms only the m1 rows occupied in some window of
+each operand and returns only the occupied output rows.  Its row-FFT blocks
+and their temporaries hold at most _FFT_BATCH complex entries counted over
+the batch axes (16 MB).
 """
 
 from __future__ import annotations
@@ -282,6 +284,14 @@ def _as_float(x):
 _POISSON_WEIGHT = _Weight(
     _as_float, ((_as_float, np.ones_like), (np.ones_like, lambda y: -_as_float(y)))
 )
+
+
+def _bracket_weight(hbar: float) -> _Weight:
+    """The bracket's weight: Poisson at hbar = 0, its classical limit, else Moyal."""
+    if not (math.isfinite(hbar) and hbar >= 0):
+        raise ValueError(f"the bracket requires a finite hbar >= 0, got {hbar}")
+    return _POISSON_WEIGHT if hbar == 0 else _moyal_weight(hbar)
+
 
 # complex entries per temporary of the FFT route (16 MB)
 _FFT_BATCH = 1 << 20

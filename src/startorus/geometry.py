@@ -173,10 +173,6 @@ class TetradFrame:
     Valid where cos q and cos(z cos q + p) stay away from zero.
     """
 
-    def phi(self, point) -> float:
-        cq, _, ca, _ = _trig(point)
-        return cq / ca
-
     def at(self, point) -> np.ndarray:
         """Coframe (..., 4, 4) at points (..., 4); raises at the first point,
         in C order, on a branch locus."""
@@ -481,7 +477,7 @@ _POINT_BLOCK = 256
 
 
 def weyl_report(points, step: float = 1e-3, extracted: bool = True) -> WeylReport:
-    """Curvature data at points (K, 4), from first principles when extracted.
+    """Curvature data at points (K, 4), K >= 1, from first principles when extracted.
 
     extracted=True evaluates the coframe once on every nested stencil node,
     (K, 9, 9, 4), and reads the connection off it by one Cartan solve over
@@ -491,10 +487,8 @@ def weyl_report(points, step: float = 1e-3, extracted: bool = True) -> WeylRepor
     """
     _finite_step(step)
     points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        return WeylReport([])
-    if points.ndim != 2 or points.shape[1] != 4:
-        raise ValueError(f"points must be rows (w, z, p, q), got shape {points.shape}")
+    if points.ndim != 2 or points.shape[1] != 4 or len(points) == 0:
+        raise ValueError(f"points must be one or more rows (w, z, p, q), got shape {points.shape}")
     samples = []
     for b in range(0, len(points), _POINT_BLOCK):
         samples += _weyl_block(points[b : b + _POINT_BLOCK], step, extracted)
@@ -533,7 +527,9 @@ def _weyl_block(points: np.ndarray, step: float, extracted: bool) -> list:
 
 
 def admissible_points(count: int, seed: int = 0, margin: float = 0.3):
-    """Deterministic sample points keeping both branch cosines above margin."""
+    """count >= 1 deterministic points keeping both branch cosines above margin."""
+    if count < 1:
+        raise ValueError(f"need at least one point, got count={count!r}")
     if margin >= 1.0:
         raise ValueError(f"margin must be below 1 for the cosines to clear it, got {margin!r}")
     rng = np.random.default_rng(seed)

@@ -44,13 +44,15 @@ class SpacetimeGrid:
 
     @classmethod
     def regular(cls, spans: Mapping[str, tuple], h: float) -> "SpacetimeGrid":
-        """Axes covering [lo, hi] with step h; (hi - lo)/h must be integral."""
+        """Axes covering [lo, hi], lo < hi, with step h; (hi - lo)/h must be integral."""
         if not (np.isfinite(h) and h > 0):
             raise ValueError(f"grid step must be finite and > 0, got {h!r}")
         axes = {}
         for name, (lo, hi) in spans.items():
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError(f"span {name!r} needs finite ends, got {lo!r}:{hi!r}")
+            if not lo < hi:
+                raise ValueError(f"span {name!r} is empty, got {lo!r}:{hi!r}")
             count = (hi - lo) / h
             n = int(round(count))
             if abs(count - n) > 1e-9 or n < 1:

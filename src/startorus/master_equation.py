@@ -38,15 +38,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import (
-    _POISSON_WEIGHT,
     DEFAULT_PRUNE,
     FourierField,
+    _antisymmetrized,
+    _bracket_weight,
     _fft_rows,
-    _moyal_weight,
     _occupied_rows,
     fft_project,
-    moyal_bracket,
-    poisson_bracket,
 )
 from .grids import GriddedFourierField, SpacetimeGrid, torus_nodes
 from .numerics import SingularMetricError, checked_grid, cross_diff
@@ -82,12 +80,6 @@ def freq_factor(hbar: float) -> float:
         h2 = hbar * hbar
         return 1.0 - h2 / 24.0 + h2 * h2 / 1920.0
     return (2.0 / hbar) * math.sin(0.5 * hbar)
-
-
-def _bracket(f: FourierField, g: FourierField, hbar: float) -> FourierField:
-    if hbar == 0:
-        return poisson_bracket(f, g)
-    return moyal_bracket(f, g, hbar)
 
 
 # Below this |x| the leading series term (x/2)^l / l! is J_l(x) to double
@@ -323,7 +315,8 @@ class WPolyField:
         return WPolyField([scalar * c for c in self.coeffs])
 
     def bracket(self, other: "WPolyField", hbar: float) -> "WPolyField":
-        """Torus bracket, degree-wise in w."""
+        """Torus bracket (Poisson at hbar = 0), degree-wise in w."""
+        weight = _bracket_weight(hbar)
         out = [FourierField.zero() for _ in range(self.degree + other.degree + 1)]
         for a, ca in enumerate(self.coeffs):
             if ca.size == 0:
@@ -331,7 +324,7 @@ class WPolyField:
             for b, cb in enumerate(other.coeffs):
                 if cb.size == 0:
                     continue
-                out[a + b] = out[a + b] + _bracket(ca, cb, hbar)
+                out[a + b] = out[a + b] + _antisymmetrized(ca, cb, weight, DEFAULT_PRUNE)
         return WPolyField(out)
 
     def l2_norm(self) -> float:
@@ -450,23 +443,22 @@ def _bracket_residual(field, label, linear, left, right, weight=1.0) -> Residual
     """Per-node l2 norm of linear + weight {left, right}_hbar, all three band-R
     mode tensors on the interior nodes and weight a scalar or per node.
 
-    Every node's bracket is taken at once as (P(left, right) - P(right, left))/2,
-    P the FFT route's row kernel `fourier._fft_rows` with the split weight of
-    `moyal_bracket` (or `poisson_bracket` at hbar = 0).  Only the m1 rows
-    occupied by the bracket or the linear term are formed, so no node's
-    band-2R window is built."""
+    Every node's bracket is one pass P(left, right) of the FFT route's row
+    kernel `fourier._fft_rows`, weighted by `fourier._bracket_weight`.  That
+    weight is odd in m x n, so P(right, left) = -P(left, right) up to
+    rounding; the exact antisymmetry `moyal_bracket` gets by averaging the two
+    is no use to a residual norm.  Only the m1 rows occupied by the bracket or
+    the linear term are formed, so no node's band-2R window is built."""
     band = (linear.shape[-1] - 1) // 2
-    split = (_POISSON_WEIGHT if field.hbar == 0 else _moyal_weight(field.hbar)).split
-    first, fg = _fft_rows(left, right, split)
-    _, gf = _fft_rows(right, left, split)
+    first, bracket = _fft_rows(left, right, _bracket_weight(field.hbar).split)
     rows = _occupied_rows(linear)
     lin = (rows.start - band, rows.stop - band)  # m1 range of the linear term
-    spans = [s for s in ((first, first + fg.shape[-2]), lin) if s[0] < s[1]]
+    spans = [s for s in ((first, first + bracket.shape[-2]), lin) if s[0] < s[1]]
     lo = min((s[0] for s in spans), default=0)
     hi = max((s[1] for s in spans), default=0)
     res = np.zeros(linear.shape[:-2] + (hi - lo, 4 * band + 1), dtype=np.complex128)
-    res[..., first - lo : first - lo + fg.shape[-2], :] = np.asarray(weight)[..., None, None] * (
-        0.5 * (fg - gf)
+    res[..., first - lo : first - lo + bracket.shape[-2], :] = (
+        np.asarray(weight)[..., None, None] * bracket
     )
     res[..., lin[0] - lo : lin[1] - lo, band : 3 * band + 1] += linear[..., rows, :]
     per = np.sqrt(np.sum(np.abs(res) ** 2, axis=(-2, -1)))

@@ -414,6 +414,7 @@ def test_validation_errors_exit_one(capsys):
         ["star", "--hbar", "-inf", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
         ["star", "--op", "star", "--hbar", "-1e400", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"],
         ["solve", "--terms", "-inf"],
+        ["curvature", "--points", "0"],
         ["no-such-command"],
     ]
     for argv in cases:

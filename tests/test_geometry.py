@@ -212,6 +212,12 @@ def test_admissible_points_rejects_unreachable_margin(margin):
         admissible_points(1, margin=margin)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_admissible_points_rejects_a_count_below_one(count):
+    with pytest.raises(ValueError, match="at least one point"):
+        admissible_points(count)
+
+
 def test_weyl_sample_solves_nine_times_and_reports_the_centre_residual(monkeypatch):
     import startorus.geometry as geometry
 
@@ -264,7 +270,9 @@ def test_stencil_node_on_the_branch_locus_raises_at_the_first_such_node():
     assert "branch locus" in str(err.value)
 
 
-@pytest.mark.parametrize("points", [[(0.1, 0.2, 0.3)], [0.1, 0.2, 0.3, 0.4], [[POINTS[0]]]])
+@pytest.mark.parametrize(
+    "points", [[(0.1, 0.2, 0.3)], [0.1, 0.2, 0.3, 0.4], [[POINTS[0]]], [], np.zeros((0, 4))]
+)
 def test_weyl_report_rejects_points_that_are_not_rows_of_four(points):
     with pytest.raises(ValueError, match="rows"):
         weyl_report(points)

@@ -57,6 +57,12 @@ def test_regular_rejects_non_finite_span_ends(span):
         SpacetimeGrid.regular({"w": span}, 0.25)
 
 
+@pytest.mark.parametrize("span", [(1.0, 0.5), (0.0, 0.0)])
+def test_regular_names_an_empty_or_inverted_span(span):
+    with pytest.raises(ValueError, match="span 'w' is empty"):
+        SpacetimeGrid.regular({"w": span}, 0.25)
+
+
 def test_refined_halves_the_step():
     grid = SpacetimeGrid.regular({"w": (0.0, 1.0)}, 0.5)
     fine = grid.refined()

@@ -331,6 +331,9 @@ def test_series_input_validation():
         kowalewska_series(theta0, theta1, -0.4, terms=4)
     with pytest.raises(TypeError):
         kowalewska_series("bad", theta1, 0.4, terms=4)
+    for hbar in (-0.4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite hbar >= 0"):
+            theta0.bracket(theta1, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +714,37 @@ def test_flat_residual_equals_per_node_reference(hbar):
     assert got.shape == (1, 2, 2, 1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("hbar", [0.25, 0.0])
+def test_every_gridded_residual_takes_its_bracket_in_one_kernel_pass(hbar, monkeypatch):
+    from startorus import master_equation
+
+    flat_grid, kahler_grid = matched_pair()
+
+    def flat_vals(point, P, Q):
+        return quadratic_evaluator(*point, P, Q)
+
+    def kahler_vals(point, P, Q):
+        y, yt, z, zt = point
+        return quadratic_evaluator(0.5 * (y + yt), z, 0.5 * (y - yt), zt, P, Q)
+
+    hp = hp_test_field(hbar)
+    flat = GriddedFourierField.sample(flat_grid, flat_vals, 2, hbar, torus_n=16)
+    kahler = GriddedFourierField.sample(kahler_grid, kahler_vals, 2, hbar, torus_n=16)
+    calls = []
+    kernel = master_equation._fft_rows
+    monkeypatch.setattr(
+        master_equation, "_fft_rows", lambda *a, **k: calls.append(1) or kernel(*a, **k)
+    )
+    for residual in (
+        lambda: residual_moyal_hp(hp),
+        lambda: residual_me_flat(flat),
+        lambda: residual_me_kahler(kahler, KahlerBackground.flat()),
+    ):
+        calls.clear()
+        assert residual().sup > 0
+        assert len(calls) == 1
 
 
 def test_degenerate_metric_aborts_with_location():
