@@ -17,10 +17,12 @@ recovers the torus solution at quadratic rate in 1/n.
 
 The expansion and its Bessel numerics live in `master_equation`, next to
 the solution they expand (`ClosedFormSolution.windows`): every Bessel value
-comes from one numpy table there, `_bessel_table`, and the integrals I_ell
+comes from one recurrence there, `_bessel_table`, and the integrals I_ell
 are reverse cumulative sums over every other order of it
-(`_bessel_integrals`), one table per batch of points, so callers pass all
-their points at once, as the chiral field does with all z of a grid.
+(`_bessel_integrals`).  A batch of points is one vectorised pass, so
+callers pass all their points at once for speed, as the chiral field does
+with all z of a grid; a point's field is the same to the bit alone or in
+any batch.
 """
 
 from __future__ import annotations

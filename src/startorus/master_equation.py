@@ -23,8 +23,9 @@ Theta_w wt + Theta_z zt + {Theta_w, Theta_z}_hbar on the identity metric.
 
 The example solution, `ClosedFormSolution`, is one closed form evaluated by
 one branch-free formula.  Its torus modes are Bessel integrals
-I_ell(x) = int_0^x J_ell, x = z s, all taken from one numpy table of
-J_0..J_N per batch of points (`_bessel_table`, `_bessel_integrals`).
+I_ell(x) = int_0^x J_ell, x = z s, from Miller's recurrence in ratio form
+(`_bessel_table`, `_bessel_integrals`): one vectorised pass per batch of
+points, elementwise, so no point's values depend on the rest of its batch.
 `ClosedFormSolution.windows` lays them out as mode windows at any (w, z),
 and `chiral` folds the same rows (`_expansion_row`).
 """
@@ -82,13 +83,6 @@ def freq_factor(hbar: float) -> float:
     return (2.0 / hbar) * math.sin(0.5 * hbar)
 
 
-# Below this |x| the leading series term (x/2)^l / l! is J_l(x) to double
-# precision (the next term is x^2 / (4 (l + 1)) smaller), and one step of the
-# backward recurrence could overflow past the rescaling threshold.
-_TINY_X = 1e-30
-_RESCALE = 1e250
-
-
 def _finite_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -96,65 +90,62 @@ def _finite_points(x) -> np.ndarray:
     return x
 
 
-def _bessel_table(order: int, x) -> np.ndarray:
-    """J_0(x)..J_order(x) at every point of x, shape (order + 1,) + x.shape.
+def _bessel_table(order, x) -> np.ndarray:
+    """J_0(x)..J_L(x) at every point of x, shape (L + 1,) + x.shape, where
+    `order` is an integer or an integer array broadcast against x and L its
+    largest value; a point's entries above its own order are 0.
 
-    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} (DLMF 3.6(v),
-    10.74(iv)) starts from J_{N+1} = 0, J_N = 1 at an even N above
-    max(order, |x|) plus a margin.  A point's values are divided by a power
-    of two once one of them passes 1e250, and the result is normalised by
-    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  J_l(-x) = (-1)^l J_l(x);
-    x = 0 gives J_0 = 1 and every other order 0.
+    Miller's algorithm in ratio form (Gautschi, SIAM Rev. 9 (1967) 24-82):
+    the ratios r_k = J_k/J_{k-1} follow r_k = 1/(2k/|x| - r_{k+1}) (DLMF
+    10.6.1) down from r = 0 past an even start N above max(order, |x|) plus
+    a margin, each point from its own N.  Then J_k = J_0 r_1 ... r_k with
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4), summed in a fixed order.  Every
+    step is elementwise, so a point's values never depend on the other
+    points; no value can overflow, and x = 0 (2k/x = inf) gives J_0 = 1 and
+    every other order 0 on the same path.  J_l(-x) = (-1)^l J_l(x).
     """
     x = _finite_points(x)
     ax = np.abs(x).ravel()
-    out = np.empty((order + 1, ax.size))
-    tiny = ax < _TINY_X
-    steps = 0.5 * ax[tiny] / np.arange(1, order + 1)[:, None]
-    out[:, tiny] = np.cumprod(np.vstack([np.ones((1, steps.shape[1])), steps]), axis=0)
-    xs = ax[~tiny]
-    if xs.size:
-        top = max(order, math.ceil(xs.max()))
-        start = top + 20 + math.isqrt(40 * top + 40)
-        start += start % 2
-        factor = np.arange(start + 1)[:, None] * (2.0 / xs)
-        # |J_{k-1}| <= (growth + 1) max(|J_k|, |J_{k+1}|), so checking every
-        # `every` steps keeps each value below 1e300
-        growth = 2.0 * start / xs.min()
-        every = max(1, int(50.0 // math.log10(growth + 2.0)))
-        rows = np.zeros((start + 2, xs.size))
-        rows[start] = 1.0
-        row, fac = list(rows), list(factor)  # views, indexed fast in the loop
-        for k in range(start, 0, -1):
-            lo = row[k - 1]
-            np.multiply(fac[k], row[k], out=lo)
-            lo -= row[k + 1]
-            if k % every == 0:
-                mag = np.abs(lo)
-                if mag.max() > _RESCALE:
-                    # by powers of two: exact, so where it happens moves no bit
-                    shift = np.where(mag > _RESCALE, -np.frexp(mag)[1], 0)
-                    rows[k - 1 :] *= np.ldexp(1.0, shift)
-        norm = rows[0] + 2.0 * rows[2::2].sum(axis=0)
-        out[:, ~tiny] = rows[: order + 1] / norm
+    rows = int(np.max(order, initial=0)) + 1
+    order = np.broadcast_to(order, x.shape).ravel()
+    top = np.maximum(order, np.ceil(ax))
+    start = top + 20 + np.floor(np.sqrt(40.0 * top + 40.0))
+    start += start % 2
+    # initial=2: an empty x still has the row J_2 that the sum below reads
+    k = np.arange(int(np.max(start, initial=2)) + 2)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = 2.0 * k / ax
+    # 2k/|x| = inf above a point's start, like at x = 0, gives r_k = 0 there
+    r[k > start] = np.inf
+    r[-1] = 0.0
+    row = list(r)  # views, indexed fast in the loop; each 2k/|x| becomes r_k
+    for j in range(len(row) - 2, 0, -1):
+        np.subtract(row[j], row[j + 1], out=row[j])
+        np.reciprocal(row[j], out=row[j])
+    r[0] = 1.0
+    np.cumprod(r, axis=0, out=r)  # J_k / J_0
+    j0 = 1.0 / (1.0 + 2.0 * np.cumsum(r[2::2], axis=0)[-1])
+    out = r[:rows] * j0
+    out[k[:rows] > order] = 0.0
     out[1::2, x.ravel() < 0] *= -1.0
-    return out.reshape((order + 1,) + x.shape)
+    return out.reshape((rows,) + x.shape)
 
 
 def _bessel_integrals(order: int, x) -> np.ndarray:
     """I_0(x)..I_order(x), I_l(x) = int_0^x J_l = 2 sum_k J_{l+2k+1}(x) (DLMF 10.22(i)),
     at every point of x, shape (order + 1,) + x.shape.
 
-    One table to order + 2 ceil(max |x|) + 62, past which the rest is far
-    below double precision; each I_l is twice a reverse cumulative sum over
-    the orders of the other parity."""
+    Each point's table runs to its own order + 2 ceil|x| + 62, past which
+    the rest is far below double precision, and is 0 above that; each I_l
+    is twice a reverse cumulative sum over the orders of the other parity,
+    so a point's integrals do not depend on the other points."""
     x = _finite_points(x)
-    top = order + 2 * math.ceil(np.max(np.abs(x), initial=0.0)) + 62
-    table = _bessel_table(top, x)
+    table = _bessel_table(order + 2 * np.ceil(np.abs(x)).astype(np.int64) + 62, x)
     tails = np.empty_like(table)
     for parity in (0, 1):
         tails[parity::2] = np.cumsum(table[parity::2][::-1], axis=0)[::-1]
-    return 2.0 * tails[1 : order + 2]
+    # the reshape keeps the shape (order + 1, 0) when x is empty
+    return 2.0 * tails[1 : order + 2].reshape((order + 1,) + x.shape)
 
 
 def _i_bound(ell: int, x: float) -> float:
@@ -292,9 +283,6 @@ class WPolyField:
         if self.degree == 0:
             return WPolyField([FourierField.zero()])
         return WPolyField([float(k) * c for k, c in enumerate(self.coeffs)][1:])
-
-    def d2_dw(self) -> "WPolyField":
-        return self.d_dw().d_dw()
 
     def __add__(self, other: "WPolyField") -> "WPolyField":
         n = max(len(self.coeffs), len(other.coeffs))

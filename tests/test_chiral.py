@@ -102,7 +102,7 @@ def test_bessel_table_matches_jv():
     at_zero = table[:, x == 0.0][:, 0]
     assert at_zero[0] == 1.0 and not at_zero[1:].any()
     # near 0 the leading series term (x/2)^l / l! is J_l to double precision
-    # (jv is not, there); the table switches to it between these points
+    # (jv is not, there), and the ratio recurrence reaches it with no branch
     tiny = [1e-40, -3e-31, 2e-30, -5e-20]
     for ell, row in enumerate(_bessel_table(5, np.array(tiny))):
         for t, got in zip(tiny, row):
@@ -112,6 +112,31 @@ def test_bessel_table_matches_jv():
     grid = x[:6].reshape(2, 3)
     assert _bessel_table(3, grid).shape == (4, 2, 3)
     assert np.max(np.abs(_bessel_table(3, grid) - table[:4, :6].reshape(4, 2, 3))) <= 1e-15
+    # from x = 1e-300, where 2k/x overflows, to far past any order of the
+    # table: nothing overflows or rescales, and every value stays finite
+    for t in (1e-300, 1e-30, 1e-3, 400.0):
+        far = _bessel_table(500, t)
+        assert np.isfinite(far).all(), t
+        assert np.max(np.abs(far - jv(np.arange(501), t))) <= 1e-14, t
+
+
+def test_a_points_bessel_values_do_not_depend_on_its_batch():
+    z = np.array([0.0, 1e-9, -1e-9, 0.37, -1.25, 2.5, -6.1, 13.0, 39.7, -40.3])
+    table = _bessel_table(80, z)
+    integrals = _bessel_integrals(80, z)
+    windows = example_solution(0.3).windows(0.2, z, 12)
+    fields = {n: chiral_model(n).field_matrix(0.2, z) for n in (2, 3, 5, 8, 16)}
+    for i, zi in enumerate(z):
+        assert np.array_equal(_bessel_table(80, zi), table[:, i]), zi
+        assert np.array_equal(_bessel_integrals(80, zi), integrals[:, i]), zi
+        assert np.array_equal(example_solution(0.3).windows(0.2, zi, 12), windows[i]), zi
+        for n, field in fields.items():
+            assert np.array_equal(chiral_model(n).field_matrix(0.2, zi), field[i]), (n, zi)
+    # a point's table above its own order is 0
+    per_point = _bessel_table(np.array([3, 7]), np.array([0.5, -2.0]))
+    assert per_point.shape == (8, 2)
+    assert not per_point[4:, 0].any()
+    assert np.array_equal(per_point[:, 1], _bessel_table(7, -2.0))
 
 
 def test_bessel_functions_reject_non_finite_arguments():
