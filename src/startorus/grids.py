@@ -39,6 +39,8 @@ class SpacetimeGrid:
                 raise ValueError(f"axis {name!r} is not uniformly spaced")
             names.append(str(name))
             arrays.append(arr)
+        if not arrays:
+            raise ValueError("a grid needs at least one axis")
         self.names = tuple(names)
         self.axes = tuple(arrays)
 
@@ -95,8 +97,11 @@ class SpacetimeGrid:
         return f"SpacetimeGrid({parts})"
 
 
-# torus samples per batched FFT in GriddedFourierField.sample (16 MB)
-_SAMPLE_BATCH = 1 << 20
+# torus samples per evaluator call and batched FFT in
+# GriddedFourierField.sample, held in one reused complex buffer of 512 KB
+# (or one torus, if that is larger); a multi-MB batch slowed later,
+# unrelated steps of the same process
+_SAMPLE_BATCH = 1 << 15
 
 
 class GriddedFourierField:
@@ -135,22 +140,38 @@ class GriddedFourierField:
     ) -> "GriddedFourierField":
         """Project evaluator(point, P, Q) onto modes at every grid node.
 
-        evaluator receives the node coordinates as a tuple plus torus
-        meshgrids P, Q and must return the sampled values.  Batched FFTs take
-        at most _SAMPLE_BATCH samples; |c| <= DEFAULT_PRUNE is zeroed, as in
+        The nodes go in batches of B, at most _SAMPLE_BATCH // P.size (and at
+        least 1), with one evaluator call each.  point is a tuple of the
+        batch's node coordinates, one array of shape (B, 1, 1) per axis, and
+        the result must broadcast against the torus meshgrids P, Q to
+        (B,) + P.shape; a result of shape P.shape, or a scalar, holds for
+        every node of the batch.  |c| <= DEFAULT_PRUNE is zeroed, as in
         `fft_project`.
         """
+        if band_limit < 0:
+            raise ValueError(f"band_limit must be >= 0, got {band_limit}")
         P, Q = torus_nodes(torus_n)
-        nodes = list(np.ndindex(*grid.shape))
-        batch = max(1, _SAMPLE_BATCH // P.size)
-
-        def project(start):
-            samples = [evaluator(grid.point(index), P, Q) for index in nodes[start : start + batch]]
-            return _fft_window(np.array(samples, dtype=np.complex128), band_limit)
-
-        values = np.concatenate([project(start) for start in range(0, len(nodes), batch)])
+        count = math.prod(grid.shape)
+        batch = min(count, max(1, _SAMPLE_BATCH // P.size))
+        samples = np.empty((batch,) + P.shape, dtype=np.complex128)
+        side = 2 * band_limit + 1
+        values = np.empty((count, side, side), dtype=np.complex128)
+        for start in range(0, count, batch):
+            stop = min(start + batch, count)
+            index = np.unravel_index(np.arange(start, stop), grid.shape)
+            point = tuple(a[i].reshape(-1, 1, 1) for a, i in zip(grid.axes, index))
+            out = samples[: stop - start]
+            result = evaluator(point, P, Q)
+            try:
+                out[...] = result
+            except ValueError:
+                raise ValueError(
+                    f"evaluator returned shape {np.shape(result)}, which does not "
+                    f"broadcast to the batch's samples {out.shape}"
+                ) from None
+            values[start:stop] = _fft_window(out, band_limit)
         values[np.abs(values) <= DEFAULT_PRUNE] = 0.0
-        return cls(grid, values.reshape(grid.shape + values.shape[1:]), hbar)
+        return cls(grid, values.reshape(grid.shape + (side, side)), hbar)
 
     def node(self, index: tuple) -> FourierField:
         """The mode field at one grid node."""

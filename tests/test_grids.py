@@ -35,6 +35,8 @@ def test_grid_rejects_bad_axes():
         SpacetimeGrid({"w": [0.0]})
     with pytest.raises(ValueError):
         SpacetimeGrid({"w": [0.0, 0.1, 0.5]})  # non-uniform
+    with pytest.raises(ValueError, match="at least one axis"):
+        SpacetimeGrid({})
 
 
 def test_regular_construction():
@@ -123,9 +125,11 @@ def test_sample_projects_each_node():
         assert node.size <= 2
 
 
-@pytest.mark.parametrize("batch", [None, 3 * 20 * 20])
+@pytest.mark.parametrize("batch", [None, 3 * 20 * 20, 5 * 20 * 20])
 def test_sample_equals_per_node_fft_project(batch, monkeypatch):
-    if batch is not None:  # three nodes per FFT batch, so batches end mid-row
+    # three nodes per batch end batches mid-row; with five, the last batch
+    # holds two nodes and stale rows of the reused sample buffer would show
+    if batch is not None:
         monkeypatch.setattr(grids, "_SAMPLE_BATCH", batch)
     grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
     P, Q = torus_nodes(20)
@@ -141,6 +145,54 @@ def test_sample_equals_per_node_fft_project(batch, monkeypatch):
         assert np.array_equal(got.modes, want.modes)
         assert np.array_equal(got.coeffs, want.coeffs)
         assert np.array_equal(gf.values[index], want.window(6))
+
+
+@pytest.mark.parametrize("batch, sizes", [(None, [12]), (5 * 20 * 20, [5, 5, 2])])
+def test_sample_calls_the_evaluator_once_per_batch_on_column_coordinates(
+    batch, sizes, monkeypatch
+):
+    if batch is not None:
+        monkeypatch.setattr(grids, "_SAMPLE_BATCH", batch)
+    grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
+    calls = []
+
+    def evaluator(point, P, Q):
+        calls.append(point)
+        a, b = point
+        return a * np.cos(P) + b * np.sin(Q)
+
+    gf = GriddedFourierField.sample(grid, evaluator, band_limit=2, hbar=0.0, torus_n=20)
+    assert [tuple(np.shape(c) for c in point) for point in calls] == [
+        ((size, 1, 1), (size, 1, 1)) for size in sizes
+    ]
+    nodes = [grid.point(index) for index in np.ndindex(*grid.shape)]
+    coordinates = [np.concatenate([point[k].ravel() for point in calls]) for k in range(2)]
+    assert list(zip(*coordinates)) == nodes
+    for index, (a, b) in zip(np.ndindex(*grid.shape), nodes):
+        assert abs(gf.node(index).coeff(1, 0) - a / 2) < 1e-15
+        assert abs(gf.node(index).coeff(0, 1) - b / 2j) < 1e-15
+
+
+@pytest.mark.parametrize("batch", [None, 5 * 16 * 16])
+def test_sample_broadcasts_an_evaluator_that_ignores_the_coordinates(batch, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr(grids, "_SAMPLE_BATCH", batch)
+    grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
+    P, Q = torus_nodes(16)
+    constant = GriddedFourierField.sample(grid, lambda pt, P, Q: 2.0, 3, 0.1, torus_n=16)
+    wave = GriddedFourierField.sample(grid, lambda pt, P, Q: np.cos(P + Q), 3, 0.1, torus_n=16)
+    for index in np.ndindex(*grid.shape):
+        assert constant.node(index).to_dict() == fft_project(np.full(P.shape, 2.0), 3).to_dict()
+        assert np.array_equal(wave.values[index], fft_project(np.cos(P + Q), 3).window(3))
+
+
+def test_sample_rejects_a_result_that_does_not_broadcast_and_a_negative_band():
+    grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
+    both = re.escape("shape (3, 4)") + ".*" + re.escape("(12, 16, 16)")
+    with pytest.raises(ValueError, match=both):
+        GriddedFourierField.sample(grid, lambda pt, P, Q: np.ones((3, 4)), 3, 0.1, torus_n=16)
+    with pytest.raises(ValueError, match="band_limit must be >= 0"):
+        GriddedFourierField.sample(grid, lambda pt, P, Q: np.cos(P), -1, 0.1, torus_n=16)
 
 
 def test_map_values_recomputes_band():
