@@ -292,6 +292,9 @@ def convergence_study(
     n_values = sorted(int(n) for n in n_values)
     if any(n < 2 for n in n_values) or len(n_values) < 2:
         raise ValueError("need at least two ranks, all >= 2")
+    repeated = [n for n, nxt in zip(n_values, n_values[1:]) if n == nxt]
+    if repeated:
+        raise ValueError(f"rank {repeated[0]} is repeated; the fit needs distinct ranks")
     if band_limit < max(n_values):
         raise ValueError("band_limit must cover the largest window")
     z = np.asarray(points, dtype=np.float64)[:, 1]

@@ -11,10 +11,8 @@ validation errors, 2 when a numerical contract is violated.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -71,12 +69,6 @@ class ContractViolation(Exception):
     """A numerical check failed; maps to exit status 2."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are validation errors, not crashes: exit 1
-    def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -120,23 +112,21 @@ def _load_config(path: str) -> dict:
     return table
 
 
-def _settle(args) -> dict:
+def _settle(command: str, flags: dict) -> dict:
     """Resolve the subcommand's PARAMETERS: flag > config file > default."""
-    spec = PARAMETERS[args.command]
-    cfg = _load_config(args.config) if args.config else {}
+    spec = PARAMETERS[command]
+    cfg = _load_config(flags["config"]) if flags.get("config") else {}
     unknown = [key for key in cfg if key.replace("-", "_") not in spec]
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r} for {args.command}")
+        raise ValueError(f"unknown config key {unknown[0]!r} for {command}")
     cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
     out = {}
     for key, (default, cast) in spec.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            out[key] = flag
-        elif key in cfg:
-            out[key] = cast(cfg[key])
-        else:
-            out[key] = default
+        text = flags.get(key, cfg.get(key))
+        try:
+            out[key] = default if text is None else cast(text)
+        except ValueError:
+            raise ValueError(f"{_flag(key)}: invalid {cast.__name__} value {text!r}") from None
     return out
 
 
@@ -309,51 +299,58 @@ def cmd_bessel_check(p, out) -> int:
 # -- wiring --------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="startorus", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, spec in PARAMETERS.items():
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
-        for key, (_, cast) in spec.items():
-            sp.add_argument("--" + key.replace("_", "-"), type=cast, default=None)
-    return parser
+_SHARED = {"config": (None, str), "out": (None, str)}  # every subcommand's flags too
 
 
-def _dash_value(token: str) -> bool:
-    """Whether argparse would take a value for a flag of its own: a span such
-    as -1:1 or -inf:0 whose ends float() reads, or a float such as -inf, -nan
-    or -1e-3.  Plain decimals such as -2 or -0.5 are left alone, since
-    argparse reads them as numbers."""
-    if not token.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", token):
-        return False
-    try:
-        for end in token.split(":"):
-            float(end)
-    except ValueError:
-        return False
-    return True
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _join_span_values(argv) -> list:
-    """Rewrite `--flag VALUE` as `--flag=VALUE` for each VALUE that argparse
-    would otherwise take for a flag (`_dash_value`)."""
-    out = []
-    for token in argv:
-        if out and _dash_value(token) and re.fullmatch(r"--[^=]+", out[-1]):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: startorus {{{','.join(PARAMETERS)}}} [--NAME VALUE ...]\n\n{__doc__}"
+    spec = {**_SHARED, **PARAMETERS[command]}
+    lines = [f"usage: startorus {command} [-h | --help] [--NAME VALUE ...]"]
+    lines += [f"  {_flag(k)} {cast.__name__.upper()} (default {d})" for k, (d, cast) in spec.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _read_argv(argv) -> tuple:
+    """(subcommand, {flag: value text}) of argv; the flags are None on -h/--help.
+
+    A flag is `--name value` or `--name=value`, spelled in full; its value is
+    the next token, whatever it looks like (-1:1, -inf, -1e-3).
+    """
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in PARAMETERS:
+        raise ValueError(f"unknown subcommand {command!r} (use {', '.join(PARAMETERS)})")
+    known = {_flag(key): key for key in {**_SHARED, **PARAMETERS[command]}}
+    flags = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        name, eq, value = token.partition("=")
+        if name not in known:
+            kind = "flag" if token.startswith("-") else "argument"
+            raise ValueError(f"unknown {kind} {token!r} for {command}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"{name} needs a value")
+        flags[known[name]] = value
+    return command, flags
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_join_span_values(sys.argv[1:] if argv is None else argv))
     try:
+        command, flags = _read_argv(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            sys.stdout.write(_usage(command))
+            return 0
         # looked up per call, so a rebound cmd_* (a wrapper, a tracer) runs
-        cmd = globals()["cmd_" + args.command.replace("-", "_")]
-        return cmd(_settle(args), args.out)
+        cmd = globals()["cmd_" + command.replace("-", "_")]
+        return cmd(_settle(command, flags), flags.get("out"))
     except (ContractViolation, SingularMetricError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2

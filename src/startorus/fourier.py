@@ -231,8 +231,18 @@ class FourierField:
 
     @classmethod
     def from_json(cls, text: str) -> "FourierField":
+        """Field of `{"modes": [[m1, m2, re, im], ...]}` with integral m1, m2."""
         data = json.loads(text)
-        rows = data.get("modes", [])
+        rows = data.get("modes") if isinstance(data, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError("a mode payload must be an object holding a 'modes' list")
+        for row in rows:
+            if not isinstance(row, list) or len(row) != 4 or any(
+                isinstance(x, bool) or not isinstance(x, (int, float)) for x in row
+            ):
+                raise ValueError(f"mode row {row!r} is not four numbers [m1, m2, re, im]")
+            if not all(isinstance(m, int) or m.is_integer() for m in row[:2]):
+                raise ValueError(f"mode row {row!r} has a non-integral mode")
         if not rows:
             return cls.zero()
         modes = np.array([[r[0], r[1]] for r in rows], dtype=np.int64)

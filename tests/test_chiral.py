@@ -592,3 +592,8 @@ def test_convergence_validation():
         convergence_study([1, 4])
     with pytest.raises(ValueError):
         convergence_study([2, 64], band_limit=40)
+
+    # a repeated rank gives a degenerate fit; the error names the rank
+    for ranks in ([4, 4], [2, 4, 4], [8, 2, 8]):
+        with pytest.raises(ValueError, match=f"rank {max(ranks)} is repeated"):
+            convergence_study(ranks)

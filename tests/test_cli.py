@@ -23,10 +23,7 @@ from startorus.sine_basis import matrix_from_json
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors leave through exit()
-        code = exc.code if isinstance(exc.code, int) else 1
+    code = main(list(argv))  # usage errors and --help return too, not exit()
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -365,25 +362,62 @@ def test_negative_span_value_forms(capsys):
         assert code == 0
 
 
-def test_span_value_after_flag_is_joined_only_after_long_flags():
+# each value starts with "-"; the next token after a flag is its value all
+# the same, in the `--flag value` and the `--flag=value` form
+DASH_VALUES = [
+    ("verify-chiral", "grid_w", "-1:-0.5"),
+    ("verify-chiral", "grid_z", "-inf:0"),
+    ("verify-chiral", "grid_w", "-nan:1"),
+    ("solve", "w", "-1e-3"),
+    ("solve", "hbar", "-0.25"),
+    ("solve", "z", "-inf"),
+]
+
+
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("command,key,value", DASH_VALUES)
+def test_dash_led_value_reaches_the_command(capsys, monkeypatch, command, key, value, joined):
     import startorus.cli as cli
 
-    argv = ["verify-chiral", "--grid-w", "-1:-0.5", "--grid-z=-1:1", "--h", "-0.25", "--", "-1:1"]
-    assert cli._join_span_values(argv) == [
-        "verify-chiral", "--grid-w=-1:-0.5", "--grid-z=-1:1", "--h", "-0.25", "--", "-1:1"
-    ]
-    # a span is joined when float() reads both its ends, infinite or not
-    argv = ["verify-chiral", "--grid-z", "-inf:0", "--grid-w", "-nan:1", "--grid-w", "-1:x"]
-    assert cli._join_span_values(argv) == [
-        "verify-chiral", "--grid-z=-inf:0", "--grid-w=-nan:1", "--grid-w", "-1:x"
-    ]
-    # floats argparse does not read as negative numbers are joined too; a
-    # plain decimal or a flag such as -h is not
-    argv = ["solve", "--hbar", "-inf", "--w", "-1e-3", "--z", "-nan", "--terms", "-2",
-            "-inf", "--w", "-h"]
-    assert cli._join_span_values(argv) == [
-        "solve", "--hbar=-inf", "--w=-1e-3", "--z=-nan", "--terms", "-2", "-inf", "--w", "-h"
-    ]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda p, out: seen.append(p) or 0)
+    flag = "--" + key.replace("_", "-")
+    later = {"verify-chiral": "n", "solve": "terms"}[command]  # a flag after the value
+    argv = [f"{flag}={value}"] if joined else [flag, value]
+    code, out, err = run(capsys, command, *argv, "--" + later, "3")
+    assert (code, out, err) == (0, "", "")
+    cast = cli.PARAMETERS[command][key][1]
+    assert repr(seen[0][key]) == repr(cast(value))  # a span as typed, a float as float() reads it
+    assert seen[0][later] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["basis", "--bogus", "1"],
+        ["basis", "--n", "3", "4"],  # a stray token after a value
+        ["verify-chiral", "--", "-1:1"],
+        ["basis", "--n"],  # a flag with no value at the end
+        ["basis", "--n", "x"],
+        ["solve", "--term", "4"],  # flags are spelled in full
+        ["basis", "-n", "3"],
+    ],
+)
+def test_usage_errors_exit_one_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["basis", "-h"], ["solve", "--w", "0.1", "--help"]]
+)
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: startorus ") and err == ""
 
 
 def test_negative_float_after_flag_reaches_the_command(capsys):
@@ -418,6 +452,14 @@ def test_validation_errors_exit_one(capsys):
         ["solve", "--terms", "-inf"],
         ["curvature", "--points", "0"],
         ["no-such-command"],
+        # malformed mode lists are the library's ValueError, not a traceback
+        ["star", "--f", "[[1,0,1]]", "--g", "[[0,1,1,0]]"],
+        ["project", "--modes", "[[1,0]]"],
+        ["star", "--f", "5", "--g", "[[0,1,1,0]]"],
+        ["star", "--f", '"abc"', "--g", "[[0,1,1,0]]"],
+        ["star", "--f", "null", "--g", "[[0,1,1,0]]"],
+        ["project", "--modes", "[[1.5,0,1,0]]"],
+        ["converge", "--n-list", "4,4"],
     ]
     for argv in cases:
         code, _, _ = run(capsys, *argv)

@@ -569,6 +569,27 @@ def test_json_round_trip_and_determinism():
     assert FourierField.from_json('{"modes": []}').size == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5", '"abc"', "null", "[]", "{}", '{"modes": 3}', '{"modes": [7]}',
+        '{"modes": [[1, 0, 1]]}', '{"modes": [[1, 0]]}', '{"modes": [[1, 0, 1, 0, 0]]}',
+        '{"modes": [[1, 0, "1", 0]]}', '{"modes": [[true, 0, 1, 0]]}',
+        '{"modes": [[1.5, 0, 1, 0]]}', '{"modes": [[0, Infinity, 1, 0]]}',
+    ],
+)
+def test_from_json_rejects_malformed_payloads(text):
+    with pytest.raises(ValueError):
+        FourierField.from_json(text)
+
+
+def test_from_json_reads_integral_floats_and_keeps_signed_zeros():
+    f = FourierField.from_json('{"modes": [[1.0, -2, -0.0, 1.5], [0, 3, 2.0, -0.0]]}')
+    assert f.to_dict() == {(1, -2): 1.5j, (0, 3): 2.0}
+    signs = {m: (math.copysign(1, c.real), math.copysign(1, c.imag)) for m, c in f.items()}
+    assert signs == {(1, -2): (-1.0, 1.0), (0, 3): (1.0, -1.0)}
+
+
 def test_from_dict_round_trip():
     table = {(1, 2): 1.5 + 0.5j, (-1, 0): 2.0}
     f = FourierField.from_dict(table)
