@@ -26,15 +26,16 @@ chosen from the operands alone:
   on modes where the sparse route gives exact zeros.
 
 The FFT route is taken when |f| |g| exceeds its work estimate, i.e. for
-operands that nearly fill their bands.  Brackets are antisymmetrized after
-either route, so they stay exactly antisymmetric.
+operands that nearly fill their bands.  A bracket is one pass of either
+route, with its operands in a fixed order (`_antisymmetrized`), so it is
+exactly antisymmetric.  Modes are bounded, |m1|, |m2| <= 2**30.
 
 The FFT route's row kernel, `_fft_rows`, works on dense coefficient windows
 (..., 2R+1, 2R+1) with any leading batch axes, so the gridded residuals of
 `master_equation` take every node's bracket in one pass, weighted by
-`_bracket_weight` and not antisymmetrized (a residual norm needs no exact
-antisymmetry).  It transforms only the m1 rows occupied in some window of
-each operand and returns only the occupied output rows.  Its row-FFT blocks
+`_bracket_weight` in the equation's operand order (a residual norm needs no
+exact antisymmetry).  It transforms only the m1 rows occupied in some window
+of each operand and returns only the occupied output rows.  Its row-FFT blocks
 and their temporaries hold at most _FFT_BATCH complex entries counted over
 the batch axes (16 MB).
 """
@@ -62,6 +63,14 @@ __all__ = [
 # operation.  Pass prune=0.0 to keep everything.
 DEFAULT_PRUNE = 1e-15
 
+# Every mode has |m1|, |m2| <= _MODE_BOUND, so the sum m + n and the cross
+# product m x n of two modes never overflow int64.
+_MODE_BOUND = 1 << 30
+
+
+def _mode_error(mode) -> ValueError:
+    return ValueError(f"mode {tuple(mode)} outside |m1|, |m2| <= 2**30")
+
 
 def _canonical(modes: np.ndarray, coeffs: np.ndarray, prune: float):
     """Sort modes lexicographically, merge duplicates, drop tiny entries."""
@@ -69,6 +78,9 @@ def _canonical(modes: np.ndarray, coeffs: np.ndarray, prune: float):
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if modes.shape[0] != coeffs.shape[0]:
         raise ValueError("modes and coeffs length mismatch")
+    if modes.size and (modes.max() > _MODE_BOUND or modes.min() < -_MODE_BOUND):
+        outside = (modes > _MODE_BOUND) | (modes < -_MODE_BOUND)
+        raise _mode_error(modes[np.flatnonzero(outside.any(axis=1))[0]].tolist())
     bad = ~np.isfinite(coeffs)
     if bad.any():
         k = np.flatnonzero(bad)[0]
@@ -243,6 +255,8 @@ class FourierField:
                 raise ValueError(f"mode row {row!r} is not four numbers [m1, m2, re, im]")
             if not all(isinstance(m, int) or m.is_integer() for m in row[:2]):
                 raise ValueError(f"mode row {row!r} has a non-integral mode")
+            if any(abs(m) > _MODE_BOUND for m in row[:2]):
+                raise _mode_error(row[:2])
         if not rows:
             return cls.zero()
         modes = np.array([[r[0], r[1]] for r in rows], dtype=np.int64)
@@ -425,22 +439,20 @@ def _pairwise(f: FourierField, g: FourierField, weight: _Weight, prune: float) -
 def _antisymmetrized(
     f: FourierField, g: FourierField, weight: _Weight, prune: float
 ) -> FourierField:
-    """Bracket with an odd weight as (P(f, g) - P(g, f)) / 2, P = `_pairwise`.
+    """Bracket with an odd weight in one pass of P = `_pairwise`.
 
-    P(f, g) and P(g, f) agree with the bracket and its negative only up to
-    rounding, because their colliding terms merge in different orders.  Each
-    is merged on its own, unpruned, so swapping f and g swaps the two tables
-    exactly (both take the same route); the final difference, halving and
-    prune are sign-symmetric in IEEE arithmetic.  The result is therefore
-    exactly antisymmetric, and the f = g bracket is exactly empty.
+    P(f, g) and -P(g, f) agree only up to rounding: their colliding terms
+    merge in different orders.  So the operands go in the order of their
+    (modes, coeffs) bytes: P(f, g) if f comes first, else 0 - P(g, f), which
+    is exact and leaves no -0.0.  The prune is sign-symmetric, so the result
+    is exactly antisymmetric; value-equal operands give the empty field.
     """
-    fg = _pairwise(f, g, weight, 0.0)
-    gf = _pairwise(g, f, weight, 0.0)
-    return FourierField(
-        np.concatenate([fg.modes, gf.modes]),
-        0.5 * np.concatenate([fg.coeffs, -gf.coeffs]),
-        prune,
-    )
+    if np.array_equal(f.modes, g.modes) and np.array_equal(f.coeffs, g.coeffs):
+        return FourierField.zero()
+    if (f.modes.tobytes(), f.coeffs.tobytes()) < (g.modes.tobytes(), g.coeffs.tobytes()):
+        return _pairwise(f, g, weight, prune)
+    gf = _pairwise(g, f, weight, prune)
+    return FourierField(gf.modes, 0.0 - gf.coeffs, prune=0.0)
 
 
 def star_product(
@@ -458,8 +470,8 @@ def moyal_bracket(
 ) -> FourierField:
     """Deformed bracket (f*g - g*f)/(i*hbar), computed in closed form.
 
-    Coefficient rule: (2/hbar) sin(hbar/2 * m x n) f_m g_n on mode m+n,
-    antisymmetrized exactly by `_antisymmetrized`.  The closed-form weight
+    Coefficient rule: (2/hbar) sin(hbar/2 * m x n) f_m g_n on mode m+n, one
+    exactly antisymmetric pass (`_antisymmetrized`).  The closed-form weight
     avoids the cancellation of the star commutator at small hbar.
     Requires a finite hbar > 0.
     """
@@ -471,8 +483,8 @@ def moyal_bracket(
 def poisson_bracket(
     f: FourierField, g: FourierField, prune: float = DEFAULT_PRUNE
 ) -> FourierField:
-    """Classical bracket, coefficient rule (m x n) f_m g_n on mode m+n,
-    antisymmetrized exactly by `_antisymmetrized`."""
+    """Classical bracket, coefficient rule (m x n) f_m g_n on mode m+n, one
+    exactly antisymmetric pass (`_antisymmetrized`)."""
     return _antisymmetrized(f, g, _POISSON_WEIGHT, prune)
 
 

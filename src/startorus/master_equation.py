@@ -434,9 +434,9 @@ def _bracket_residual(field, label, linear, left, right, weight=1.0) -> Residual
     Every node's bracket is one pass P(left, right) of the FFT route's row
     kernel `fourier._fft_rows`, weighted by `fourier._bracket_weight`.  That
     weight is odd in m x n, so P(right, left) = -P(left, right) up to
-    rounding; the exact antisymmetry `moyal_bracket` gets by averaging the two
-    is no use to a residual norm.  Only the m1 rows occupied by the bracket or
-    the linear term are formed, so no node's band-2R window is built."""
+    rounding; `moyal_bracket`'s exact antisymmetry, from a fixed operand
+    order, is no use to a residual norm.  Only the m1 rows occupied by the
+    bracket or the linear term are formed, so no node's band-2R window is built."""
     band = (linear.shape[-1] - 1) // 2
     first, bracket = _fft_rows(left, right, _bracket_weight(field.hbar).split)
     rows = _occupied_rows(linear)

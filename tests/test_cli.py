@@ -432,6 +432,17 @@ def test_negative_float_after_flag_reaches_the_command(capsys):
 # ---------------------------------------------------------------------------
 # exit codes
 
+# modes past |m1|, |m2| <= 2**30: past int64, a float, and two whose int64
+# cross product (2**62 x 4 wraps to 0) or sum (2**63 - 1 + 1) would wrap
+MODES_PAST_THE_BOUND = [
+    ["star", "--f", "[[99999999999999999999,0,1,0]]", "--g", "[[0,1,1,0]]"],
+    ["star", "--f", "[[1e30,0,1,0]]", "--g", "[[0,1,1,0]]"],
+    ["star", "--op", "poisson", "--f", "[[4611686018427387904,0,1,0]]", "--g", "[[0,4,1,0]]"],
+    ["star", "--op", "star", "--hbar", "1",
+     "--f", "[[9223372036854775807,0,1,0]]", "--g", "[[1,0,1,0]]"],
+]
+
+
 def test_validation_errors_exit_one(capsys):
     cases = [
         ["basis", "--n", "1"],
@@ -460,10 +471,17 @@ def test_validation_errors_exit_one(capsys):
         ["star", "--f", "null", "--g", "[[0,1,1,0]]"],
         ["project", "--modes", "[[1.5,0,1,0]]"],
         ["converge", "--n-list", "4,4"],
-    ]
+    ] + MODES_PAST_THE_BOUND
     for argv in cases:
         code, _, _ = run(capsys, *argv)
         assert code == 1, argv
+
+
+@pytest.mark.parametrize("argv", MODES_PAST_THE_BOUND)
+def test_modes_past_the_bound_exit_one_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: mode (") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

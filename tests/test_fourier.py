@@ -196,9 +196,18 @@ def test_self_bracket_is_exactly_empty():
     rng = np.random.default_rng(46)
     fields = [random_field(rng, 7, 5) * 1e4 for _ in range(20)]
     fields += [dense_field(rng, band) * 1e4 for band in (3, 6, 9)]
-    for f in fields:
-        assert moyal_bracket(f, f, 0.37).size == 0
-        assert poisson_bracket(f, f).size == 0
+    # a real field with -0.0 imaginary parts and its value-equal copy with
+    # +0.0 ones: equal values, different bytes
+    real = FourierField.from_window(rng.normal(size=(13, 13)))
+    signed = FourierField(real.modes, np.conj(real.coeffs.real.astype(complex)), prune=0.0)
+    unsigned = FourierField(real.modes, real.coeffs.real.astype(complex), prune=0.0)
+    assert signed.coeffs.tobytes() != unsigned.coeffs.tobytes()
+    pairs = [(f, f) for f in fields]
+    pairs += [(f, FourierField(f.modes.copy(), f.coeffs.copy())) for f in fields]
+    pairs += [(signed, unsigned), (unsigned, signed)]
+    for f, g in pairs:
+        assert moyal_bracket(f, g, 0.37).size == 0
+        assert poisson_bracket(f, g).size == 0
 
 
 def test_poisson_single_modes_and_small_hbar_limit():
@@ -295,6 +304,80 @@ def test_antisymmetry_is_exact_on_dense_bands():
         for hbar in (1e-3, 0.5, 2 * np.pi / 7):
             assert_exact_negatives(moyal_bracket(f, g, hbar), moyal_bracket(g, f, hbar))
         assert_exact_negatives(poisson_bracket(f, g), poisson_bracket(g, f))
+
+
+def test_each_bracket_is_one_pairwise_pass(monkeypatch):
+    rng = np.random.default_rng(53)
+    calls = []
+    kernel = fourier._pairwise
+    monkeypatch.setattr(fourier, "_pairwise", lambda *a: calls.append(1) or kernel(*a))
+    for f, g in (
+        (random_field(rng, 9, 6), random_field(rng, 11, 6)),
+        (dense_field(rng, 8), dense_field(rng, 7)),
+    ):
+        for bracket in (lambda a, b: moyal_bracket(a, b, 0.5), poisson_bracket):
+            for a, b in ((f, g), (g, f)):
+                calls.clear()
+                assert bracket(a, b).size > 0
+                assert len(calls) == 1
+
+
+def test_bracket_depends_on_operand_values_only():
+    # the operand order is read off the tables, not the objects: copies made
+    # after both operands give the same bytes
+    rng = np.random.default_rng(55)
+    for _ in range(10):
+        f, g = random_field(rng, 9, 6), random_field(rng, 11, 6)
+        f2, g2 = (FourierField(h.modes.copy(), h.coeffs.copy()) for h in (f, g))
+        assert_exact_negatives(moyal_bracket(f2, g, 0.5), -moyal_bracket(f, g, 0.5))
+        assert_exact_negatives(moyal_bracket(g2, f, 0.5), -moyal_bracket(g, f, 0.5))
+        assert_exact_negatives(poisson_bracket(f2, g), -poisson_bracket(f, g))
+        assert_exact_negatives(poisson_bracket(g2, f), -poisson_bracket(g, f))
+
+
+def test_swapped_operands_leave_no_negative_zero():
+    # 0 - P(g, f) rather than -P(g, f): an exact zero part reads 0.0 in
+    # either operand order, as in `startorus star`'s printed result
+    e10, e01 = FourierField.basis(1, 0), FourierField.basis(0, 1)
+    for a, b in ((e10, e01), (e01, e10)):
+        for bracket in (moyal_bracket(a, b, 1.0), poisson_bracket(a, b)):
+            assert bracket.size == 1 and "-0.0" not in bracket.to_json()
+
+
+def two_pass_bracket(f: FourierField, g: FourierField, weight) -> FourierField:
+    """The bracket as (P(f, g) - P(g, f)) / 2 with P = `fourier._pairwise`,
+    each pass merged unpruned: the exactly antisymmetric two-pass form that
+    the one-pass bracket replaced, kept as its reference."""
+    fg = fourier._pairwise(f, g, weight, 0.0)
+    gf = fourier._pairwise(g, f, weight, 0.0)
+    return FourierField(
+        np.concatenate([fg.modes, gf.modes]), 0.5 * np.concatenate([fg.coeffs, -gf.coeffs])
+    )
+
+
+def test_one_pass_bracket_agrees_with_the_two_pass_average(monkeypatch):
+    rng = np.random.default_rng(54)
+    routes = []
+    for name in ("_sparse_pairwise", "_fft_pairwise"):
+        kernel = getattr(fourier, name)
+        monkeypatch.setattr(
+            fourier, name, lambda *a, k=kernel, n=name: routes.append(n) or k(*a)
+        )
+    pairs = {
+        "_fft_pairwise": [(dense_field(rng, 13), dense_field(rng, 12)),
+                          (dense_field(rng, 8), dense_field(rng, 7))],
+        "_sparse_pairwise": [(random_field(rng, 9, 6), random_field(rng, 11, 6))],
+    }
+    for route, operands in pairs.items():
+        for f, g in operands:
+            band = f.band_limit + g.band_limit
+            for hbar in (2 * np.pi / 12, 1e-3, 0.0):
+                routes.clear()
+                got = moyal_bracket(f, g, hbar) if hbar else poisson_bracket(f, g)
+                assert set(routes) == {route}
+                want = two_pass_bracket(f, g, fourier._bracket_weight(hbar))
+                gap = np.max(np.abs(got.window(band) - want.window(band)))
+                assert gap <= 1e-14 * want.max_abs_coeff()
 
 
 def pairwise_reference(f: FourierField, g: FourierField, weight) -> dict:
@@ -576,6 +659,10 @@ def test_json_round_trip_and_determinism():
         '{"modes": [[1, 0, 1]]}', '{"modes": [[1, 0]]}', '{"modes": [[1, 0, 1, 0, 0]]}',
         '{"modes": [[1, 0, "1", 0]]}', '{"modes": [[true, 0, 1, 0]]}',
         '{"modes": [[1.5, 0, 1, 0]]}', '{"modes": [[0, Infinity, 1, 0]]}',
+        # modes past |m| <= 2**30: past int64, a float past it, 2**62, 2**63 - 1
+        '{"modes": [[99999999999999999999, 0, 1, 0]]}', '{"modes": [[1e30, 0, 1, 0]]}',
+        '{"modes": [[4611686018427387904, 0, 1, 0]]}',
+        '{"modes": [[9223372036854775807, 0, 1, 0]]}',
     ],
 )
 def test_from_json_rejects_malformed_payloads(text):
@@ -588,6 +675,22 @@ def test_from_json_reads_integral_floats_and_keeps_signed_zeros():
     assert f.to_dict() == {(1, -2): 1.5j, (0, 3): 2.0}
     signs = {m: (math.copysign(1, c.real), math.copysign(1, c.imag)) for m, c in f.items()}
     assert signs == {(1, -2): (-1.0, 1.0), (0, 3): (1.0, -1.0)}
+
+
+def test_modes_are_bounded_by_two_to_the_thirty():
+    edge = 2**30
+    for mode in ((edge, 0), (0, -edge), (-edge, edge)):
+        assert FourierField(np.array([mode]), np.array([1.0])).modes.tolist() == [list(mode)]
+    assert FourierField.from_json(f'{{"modes": [[{edge}, {-edge}, 1, 0]]}}').size == 1
+    for mode in ((edge + 1, 0), (0, -edge - 1), (2**63 - 1, 0), (-(2**63), 0)):
+        with pytest.raises(ValueError, match=rf"mode \({mode[0]}, {mode[1]}\) outside"):
+            FourierField(np.array([mode]), np.array([1.0]))
+    # within the bound, sums and cross products of modes stay exact
+    cross = poisson_bracket(FourierField.basis(edge, 0), FourierField.basis(0, -edge))
+    assert cross.to_dict() == {(edge, -edge): -(2.0**60)}
+    # a product of in-range fields whose result leaves the range
+    with pytest.raises(ValueError, match=rf"mode \({edge + 1}, 0\) outside"):
+        star_product(FourierField.basis(edge, 0), FourierField.basis(1, 0), 1.0)
 
 
 def test_from_dict_round_trip():

@@ -321,6 +321,24 @@ def test_series_bit_identical_to_the_bracket_for_every_j(hbar):
             assert np.array_equal(x.coeffs, y.coeffs), k
 
 
+@pytest.mark.parametrize("hbar", [0.0, 0.5])
+def test_wpoly_bracket_is_one_pairwise_pass_per_nonzero_degree_pair(hbar, monkeypatch):
+    from startorus import fourier
+
+    wave = FourierField.from_dict
+    left = WPolyField(
+        [wave({(1, 1): 0.5, (-1, 2): 0.5}), FourierField.zero(), wave({(1, 0): 0.25j})]
+    )
+    right = WPolyField([wave({(0, 1): -0.5j, (2, -1): 1.0}), wave({(1, -1): 0.3j})])
+    calls = []
+    kernel = fourier._pairwise
+    monkeypatch.setattr(fourier, "_pairwise", lambda *a: calls.append(1) or kernel(*a))
+    for a, b in ((left, right), (right, left)):
+        calls.clear()
+        assert a.bracket(b, hbar).l2_norm() > 0
+        assert len(calls) == 2 * 2  # two nonzero w-coefficients on each side
+
+
 def test_series_input_validation():
     theta0, theta1 = example_cauchy_data()
     with pytest.raises(ValueError):
