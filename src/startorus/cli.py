@@ -132,13 +132,7 @@ def _settle(command: str, flags: dict) -> dict:
 
 def _parse_field(text: str) -> FourierField:
     data = json.loads(text)
-    if isinstance(data, list):
-        data = {"modes": data}
-    return FourierField.from_json(json.dumps(data))
-
-
-def _field_payload(field: FourierField) -> dict:
-    return json.loads(field.to_json())
+    return FourierField.from_payload({"modes": data} if isinstance(data, list) else data)
 
 
 # -- subcommands --------------------------------------------------------
@@ -158,7 +152,7 @@ def cmd_star(p, out) -> int:
         result = poisson_bracket(f, g)
     else:
         raise ValueError(f"unknown op {op!r} (use star, moyal, poisson)")
-    payload = {"op": op, "result": _field_payload(result)}
+    payload = {"op": op, "result": result.payload()}
     if op != "poisson":
         payload["hbar"] = p["hbar"]
     _emit(_json_text(payload), out)
@@ -190,7 +184,7 @@ def cmd_solve(p, out) -> int:
         "z": p["z"],
         "order_norms": [series.order_field(k, p["w"]).l2_norm() for k in range(p["terms"])],
         "tail_estimate": series.tail_estimate(p["w"], p["z"]),
-        "field": _field_payload(field),
+        "field": field.payload(),
     }
     _emit(_json_text(payload), out)
     return 0

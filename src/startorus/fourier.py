@@ -72,9 +72,25 @@ def _mode_error(mode) -> ValueError:
     return ValueError(f"mode {tuple(mode)} outside |m1|, |m2| <= 2**30")
 
 
+def _int64_modes(modes: np.ndarray) -> np.ndarray:
+    """int64 copy of (k, 2) float or object modes, such as Python ints past
+    int64, once each mode is found integral and within the bound.  Clipping
+    first keeps an int past the float range from overflowing the cast."""
+    vals = modes.clip(-(2.0**31), 2.0**31).astype(np.float64)
+    bad = np.flatnonzero((vals != np.floor(vals)).any(axis=1))  # NaN too
+    if bad.size:
+        raise ValueError(f"mode {tuple(modes[bad[0]].tolist())} is not integral")
+    bad = np.flatnonzero((np.abs(vals) > _MODE_BOUND).any(axis=1))
+    if bad.size:
+        raise _mode_error(modes[bad[0]].tolist())
+    return vals.astype(np.int64)
+
+
 def _canonical(modes: np.ndarray, coeffs: np.ndarray, prune: float):
     """Sort modes lexicographically, merge duplicates, drop tiny entries."""
-    modes = np.atleast_2d(np.asarray(modes, dtype=np.int64)).reshape(-1, 2)
+    modes = np.atleast_2d(np.asarray(modes)).reshape(-1, 2)
+    if modes.dtype != np.int64:
+        modes = _int64_modes(modes)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if modes.shape[0] != coeffs.shape[0]:
         raise ValueError("modes and coeffs length mismatch")
@@ -131,7 +147,7 @@ class FourierField:
     def from_dict(cls, table: Mapping[tuple, complex], prune: float = DEFAULT_PRUNE):
         if not table:
             return cls.zero()
-        modes = np.array(list(table.keys()), dtype=np.int64)
+        modes = np.array(list(table.keys()))
         coeffs = np.array(list(table.values()), dtype=np.complex128)
         return cls(modes, coeffs, prune)
 
@@ -234,17 +250,20 @@ class FourierField:
 
     # -- serialization ---------------------------------------------------
 
+    def payload(self) -> dict:
+        """`{"band_limit": R, "modes": [[m1, m2, re, im], ...]}` in sorted mode
+        order, of plain ints and floats: the decoded form of `to_json`."""
+        m1, m2 = self.modes.T.tolist()
+        rows = list(map(list, zip(m1, m2, self.coeffs.real.tolist(), self.coeffs.imag.tolist())))
+        return {"band_limit": self.band_limit, "modes": rows}
+
     def to_json(self) -> str:
-        rows = [
-            [int(m1), int(m2), float(c.real), float(c.imag)]
-            for (m1, m2), c in self.items()
-        ]
-        return json.dumps({"band_limit": self.band_limit, "modes": rows})
+        """`payload` as JSON text."""
+        return json.dumps(self.payload())
 
     @classmethod
-    def from_json(cls, text: str) -> "FourierField":
+    def from_payload(cls, data) -> "FourierField":
         """Field of `{"modes": [[m1, m2, re, im], ...]}` with integral m1, m2."""
-        data = json.loads(text)
         rows = data.get("modes") if isinstance(data, dict) else None
         if not isinstance(rows, list):
             raise ValueError("a mode payload must be an object holding a 'modes' list")
@@ -257,11 +276,15 @@ class FourierField:
                 raise ValueError(f"mode row {row!r} has a non-integral mode")
             if any(abs(m) > _MODE_BOUND for m in row[:2]):
                 raise _mode_error(row[:2])
-        if not rows:
-            return cls.zero()
-        modes = np.array([[r[0], r[1]] for r in rows], dtype=np.int64)
-        coeffs = np.array([complex(r[2], r[3]) for r in rows])
-        return cls(modes, coeffs, prune=0.0)
+        table = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        # each (re, im) pair read as one complex keeps its bits, -0.0 included
+        coeffs = table[:, 2:].copy().view(np.complex128).ravel()
+        return cls(table[:, :2].astype(np.int64), coeffs, prune=0.0)
+
+    @classmethod
+    def from_json(cls, text: str) -> "FourierField":
+        """`from_payload` of the decoded JSON text."""
+        return cls.from_payload(json.loads(text))
 
     def __repr__(self) -> str:
         return f"FourierField({self.size} modes, band_limit={self.band_limit})"
@@ -509,8 +532,7 @@ def sample_on_grid(f: FourierField, n: int) -> np.ndarray:
     if n <= 2 * f.band_limit:
         raise ValueError(f"grid size {n} aliases band_limit {f.band_limit}")
     spect = np.zeros((n, n), dtype=np.complex128)
-    for (m1, m2), c in f.items():
-        spect[m1 % n, m2 % n] += c
+    np.add.at(spect, (f.modes[:, 0] % n, f.modes[:, 1] % n), f.coeffs)
     return np.fft.ifft2(spect) * n * n
 
 

@@ -289,14 +289,8 @@ def matrix_to_json(mat: np.ndarray) -> str:
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    return json.dumps(
-        {
-            "n": mat.shape[0],
-            "re": [[float(v) for v in row] for row in mat.real],
-            "im": [[float(v) for v in row] for row in mat.imag],
-        },
-        sort_keys=True,
-    )
+    payload = {"n": mat.shape[0], "re": mat.real.tolist(), "im": mat.imag.tolist()}
+    return json.dumps(payload, sort_keys=True)
 
 
 def matrix_from_json(text: str) -> np.ndarray:

@@ -97,6 +97,42 @@ def test_solve_payload(capsys):
     assert payload["field"]["modes"]
 
 
+# stdout of mode-field and matrix payloads, recorded before they were built
+# from whole arrays (`FourierField.payload`, `matrix_to_json` on `tolist()`)
+RECORDED_STDOUT = {
+    ("star", "--f", "[[1,0,1,0]]", "--g", "[[0,1,1,0]]"):
+        '{"hbar": 1.0, "op": "moyal", "result": {"band_limit": 1, '
+        '"modes": [[1, 1, 0.958851077208406, 0.0]]}}\n',
+    ("star", "--op", "star", "--hbar", "0.5", "--f", "[[1,0,1,0],[0,-1,-0.0,2]]",
+     "--g", "[[0,1,0.5,-0.0],[-2,0,1,0]]"):
+        '{"hbar": 0.5, "op": "star", "result": {"band_limit": 2, "modes": '
+        '[[-2, -1, 0.958851077208406, 1.7551651237807455], [-1, 0, 1.0, 0.0], '
+        '[0, 0, 0.0, 1.0], [1, 1, 0.48445621085532237, 0.12370197962726147]]}}\n',
+    ("star", "--op", "poisson", "--f", "[[2,1,-0.0,1]]", "--g", "[[1,-1,1,-0.0]]"):
+        '{"op": "poisson", "result": {"band_limit": 3, "modes": [[3, 0, 0.0, -3.0]]}}\n',
+    ("solve", "--terms", "3"):
+        '{"field": {"band_limit": 1, "modes": [[-1, -1, 0.7653981633974483, 0.0], '
+        '[-1, 0, 0.0, -0.2], [-1, 1, -0.020000000000000004, -0.0], '
+        '[1, -1, -0.020000000000000004, -0.0], [1, 0, 0.0, 0.2], '
+        '[1, 1, 0.7653981633974483, 0.0]]}, "hbar": 0.0, "order_norms": '
+        '[1.1107207345395915, 0.7071067811865476, 0.5], '
+        '"tail_estimate": 0.04000000000000001, "terms": 3, "w": 0.0, "z": 0.4}\n',
+    ("project", "--n", "4", "--modes", "[[1,1,0.5,0]]"):
+        '{"im": [[0.0, 1.9490859162596877e-17, 0.0, 0.0], [0.0, 0.0, -0.3183098861837907, 0.0], '
+        '[0.0, 0.0, 0.0, -5.847257748779064e-17], [-0.3183098861837907, 0.0, 0.0, 0.0]], '
+        '"n": 4, "re": [[0.0, -0.3183098861837907, 0.0, 0.0], '
+        '[0.0, 0.0, -3.8981718325193755e-17, 0.0], [0.0, 0.0, 0.0, 0.3183098861837907], '
+        '[-3.8981718325193755e-17, 0.0, 0.0, 0.0]]}\n',
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORDED_STDOUT), ids=lambda argv: " ".join(argv[:3]))
+def test_field_and_matrix_payloads_print_the_recorded_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == RECORDED_STDOUT[argv]
+
+
 def test_verify_me_report(capsys):
     code, out, _ = run(capsys, "verify-me", "--hbar", "0.001", "--h", "0.1",
                        "--band-limit", "16")

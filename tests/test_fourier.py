@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -652,22 +654,68 @@ def test_json_round_trip_and_determinism():
     assert FourierField.from_json('{"modes": []}').size == 0
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "5", '"abc"', "null", "[]", "{}", '{"modes": 3}', '{"modes": [7]}',
-        '{"modes": [[1, 0, 1]]}', '{"modes": [[1, 0]]}', '{"modes": [[1, 0, 1, 0, 0]]}',
-        '{"modes": [[1, 0, "1", 0]]}', '{"modes": [[true, 0, 1, 0]]}',
-        '{"modes": [[1.5, 0, 1, 0]]}', '{"modes": [[0, Infinity, 1, 0]]}',
-        # modes past |m| <= 2**30: past int64, a float past it, 2**62, 2**63 - 1
-        '{"modes": [[99999999999999999999, 0, 1, 0]]}', '{"modes": [[1e30, 0, 1, 0]]}',
-        '{"modes": [[4611686018427387904, 0, 1, 0]]}',
-        '{"modes": [[9223372036854775807, 0, 1, 0]]}',
-    ],
-)
+MALFORMED_PAYLOADS = [
+    "5", '"abc"', "null", "[]", "{}", '{"modes": 3}', '{"modes": [7]}',
+    '{"modes": [[1, 0, 1]]}', '{"modes": [[1, 0]]}', '{"modes": [[1, 0, 1, 0, 0]]}',
+    '{"modes": [[1, 0, "1", 0]]}', '{"modes": [[true, 0, 1, 0]]}',
+    '{"modes": [[1.5, 0, 1, 0]]}', '{"modes": [[0, Infinity, 1, 0]]}',
+    # modes past |m| <= 2**30: past int64, a float past it, 2**62, 2**63 - 1
+    '{"modes": [[99999999999999999999, 0, 1, 0]]}', '{"modes": [[1e30, 0, 1, 0]]}',
+    '{"modes": [[4611686018427387904, 0, 1, 0]]}',
+    '{"modes": [[9223372036854775807, 0, 1, 0]]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_PAYLOADS)
 def test_from_json_rejects_malformed_payloads(text):
     with pytest.raises(ValueError):
         FourierField.from_json(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_PAYLOADS)
+def test_from_payload_rejects_the_same_payloads_decoded(text):
+    with pytest.raises(ValueError) as decoded:
+        FourierField.from_payload(json.loads(text))
+    with pytest.raises(ValueError) as read:
+        FourierField.from_json(text)
+    assert str(decoded.value) == str(read.value)
+
+
+def per_item_to_json(f: FourierField) -> str:
+    """`to_json` as it was written before `payload`: one int()/float() per
+    mode through `items()`, kept as the reference for its bytes."""
+    rows = [[int(m1), int(m2), float(c.real), float(c.imag)] for (m1, m2), c in f.items()]
+    return json.dumps({"band_limit": f.band_limit, "modes": rows})
+
+
+def _json_fields():
+    rng = np.random.default_rng(63)
+    edge = 2**30
+    return {
+        "empty": FourierField.zero(),
+        "sparse": random_field(rng, 12, 9),
+        "dense": dense_field(rng, 25),
+        "signed_zeros": FourierField(
+            [[0, 1], [1, 0], [-2, 3]], [complex(-0.0, 1.5), complex(2.0, -0.0), -0.25]
+        ),
+        "mode_bound": FourierField(
+            [[edge, -edge], [-edge, edge], [edge, 0]], [1 + 2j, -3.5, 1e-300j]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_json_fields()))
+def test_to_json_writes_the_per_item_bytes_and_reads_them_back(name):
+    f = _json_fields()[name]
+    text = f.to_json()
+    assert text == per_item_to_json(f)
+    assert json.dumps(f.payload()) == text
+    assert FourierField.from_json(text).to_json() == text
+    assert FourierField.from_payload(f.payload()).to_json() == text
+    if name == "signed_zeros":
+        assert "[0, 1, -0.0, 1.5]" in text and "[1, 0, 2.0, -0.0]" in text
+    if name == "dense":
+        assert f.size == 51 * 51
 
 
 def test_from_json_reads_integral_floats_and_keeps_signed_zeros():
@@ -691,6 +739,32 @@ def test_modes_are_bounded_by_two_to_the_thirty():
     # a product of in-range fields whose result leaves the range
     with pytest.raises(ValueError, match=rf"mode \({edge + 1}, 0\) outside"):
         star_product(FourierField.basis(edge, 0), FourierField.basis(1, 0), 1.0)
+
+
+def test_mode_past_int64_is_rejected_before_the_cast():
+    with pytest.raises(ValueError, match=r"mode \(1180591620717411303424, 0\) outside"):
+        FourierField.basis(2**70, 0)
+    with pytest.raises(ValueError, match=r"mode \(0, -1180591620717411303424\) outside"):
+        FourierField.from_dict({(1, 1): 1.0, (0, -(2**70)): 1.0})
+    with pytest.raises(ValueError, match=rf"mode \({10**400}, 0\) outside"):
+        FourierField.basis(10**400, 0)  # past the float range too
+
+
+def test_float_modes_must_be_integral():
+    with pytest.raises(ValueError, match=r"mode \(1.5, 0.0\) is not integral"):
+        FourierField(np.array([[1.5, 0]]), [1.0])
+    with pytest.raises(ValueError, match="is not integral"):
+        FourierField(np.array([[0.0, np.nan]]), [1.0])
+    f = FourierField(np.array([[3.0, -2.0], [-0.0, 1.0]]), [1.0, 2.0])
+    assert f.modes.dtype == np.int64 and f.to_dict() == {(0, 1): 2.0, (3, -2): 1.0}
+
+
+def test_float_mode_past_the_bound_is_rejected_not_cast():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it casts 1e30 to int64
+        for mode in ((1e30, 0.0), (0.0, -np.inf), (2.0**30 + 1, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(f"mode {mode} outside")):
+                FourierField(np.array([mode]), [1.0])
 
 
 def test_from_dict_round_trip():
@@ -754,6 +828,24 @@ def test_sample_project_round_trip():
     samples = sample_on_grid(f, 18)
     back = fft_project(samples, band_limit=8)
     assert (back - f).max_abs_coeff() <= 1e-12
+
+
+def per_mode_sample_on_grid(f: FourierField, n: int) -> np.ndarray:
+    """`sample_on_grid` as it was written before `np.add.at`: one spectrum
+    entry per mode through `items()`, kept as the reference for its bits."""
+    spect = np.zeros((n, n), dtype=np.complex128)
+    for (m1, m2), c in f.items():
+        spect[m1 % n, m2 % n] += c
+    return np.fft.ifft2(spect) * n * n
+
+
+def test_sample_on_grid_matches_the_per_mode_spectrum_bit_for_bit():
+    rng = np.random.default_rng(64)
+    fields = [random_field(rng, 30, 8), dense_field(rng, 6), _json_fields()["signed_zeros"]]
+    for f in fields + [FourierField.zero()]:
+        for n in (2 * f.band_limit + 1, 2 * f.band_limit + 6):
+            want = per_mode_sample_on_grid(f, n)
+            assert sample_on_grid(f, n).tobytes() == want.tobytes()
 
 
 def test_projection_guards():

@@ -7,7 +7,9 @@ import pytest
 
 import startorus.sine_basis as sine_basis
 from startorus import (
+    FourierField,
     basis_matrix,
+    chi_project,
     clock_matrix,
     det_closed_form,
     fold_mode,
@@ -205,6 +207,33 @@ def test_matrix_json_round_trip():
         matrix_to_json(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         matrix_from_json('{"n": 2, "re": [[1.0]], "im": [[0.0]]}')
+
+
+def per_entry_matrix_to_json(mat: np.ndarray) -> str:
+    """`matrix_to_json` as it was written before `tolist()`: one float() per
+    entry, kept as the reference for its bytes."""
+    return json.dumps(
+        {
+            "n": mat.shape[0],
+            "re": [[float(v) for v in row] for row in mat.real],
+            "im": [[float(v) for v in row] for row in mat.imag],
+        },
+        sort_keys=True,
+    )
+
+
+def test_matrix_to_json_writes_the_per_entry_bytes():
+    rng = np.random.default_rng(65)
+    side = 2 * 20 + 1
+    field = FourierField.from_window(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    fold = chi_project(field, 32)
+    signed = np.array([[-0.0, 1.0 - 0.0j], [complex(0.0, -0.0), complex(-0.0, 2.5)]])
+    for mat in (fold, signed, basis_matrix(3, 1, 1)):
+        text = matrix_to_json(mat)
+        assert text == per_entry_matrix_to_json(mat)
+        assert np.array_equal(matrix_from_json(text), mat)
+    assert fold.shape == (32, 32) and '"n": 32' in matrix_to_json(fold)
+    assert "-0.0" in matrix_to_json(signed)
 
 
 def dense_report(n: int) -> dict:
