@@ -23,6 +23,21 @@ are reverse cumulative sums over every other order of it
 callers pass all their points at once for speed, as the chiral field does
 with all z of a grid; a point's field is the same to the bit alone or in
 any batch.
+
+The residual vartheta_ww + vartheta_zz + [vartheta_w, vartheta_z] is taken
+in two ways.  `residual_chiral` and `chiral_system_check` take any
+`MatrixField`: centred stencils on the n x n values, the commutator as
+matrix products, and the Frobenius norm of each node's matrix; they are the
+generic oracles.  `ChiralModel.residual` and `ChiralModel.system_check` take
+the model's own field on its window coefficients a_mu(w, z), mu in [0, n)^2,
+of which only the rows mu1 = 0, 1, n - 1 are occupied: the stencils are
+linear, so they run on the coefficients; the commutator comes from the
+structure constants [L_mu, L_nu] = (n/pi) sin(pi mu x nu / n) L_(mu+nu)
+(Fairlie, Fletcher and Zachos, Phys. Lett. B 218 (1989) 203) with the fold
+signs; and the norm from trace-orthogonality: every L_mu is monomial with n
+entries of modulus n / 2 pi and distinct mu are orthogonal, so
+|sum_mu a_mu L_mu|_F = sqrt(n) (n / 2 pi) |a|_2.  Each node then holds O(n)
+values, not n^2, and the two paths agree to rounding.
 """
 
 from __future__ import annotations
@@ -48,7 +63,8 @@ from .master_equation import (
     freq_factor,
 )
 from .numerics import checked_grid, grid_diff, grid_diff2
-from .projection import MatrixField, _fold, matched_hbar
+from .projection import MatrixField, _bin, _window_matrices, matched_hbar
+from .sine_basis import fold_mode
 
 __all__ = [
     "bessel_integral",
@@ -86,19 +102,33 @@ def _kept_orders(n: int, x: np.ndarray) -> np.ndarray:
     2n for odd n) and L(x) the least integer l > |x| + 2 with
     4 _i_bound(l, x) < _CUT_OFF.  It raises once L(x) passes 301 P, where
     the explicit families (the oracle in tests/test_chiral.py) give up on
-    their 301 terms l = e, e + P, ..., e + 300 P, 0 <= e < P."""
+    their 301 terms l = e, e + P, ..., e + 300 P, 0 <= e < P.
+
+    Past |x| + 1, log _i_bound(l, x) = (l + 1) log(|x|/2) - lgamma(l + 2) + log 2,
+    so the rule reads log(|x|/2) < g(l) = (log(_CUT_OFF / 8) + lgamma(l + 2)) / (l + 1),
+    and g increases with l: one search of the unique log(|x|/2) in a table of
+    g gives L(x), and the rule itself, taken once at L(x) and L(x) - 1, moves
+    it onto the order the scalar test picks where rounding puts the two apart."""
     period = n if n % 2 == 0 else 2 * n
     limit = 301 * period
     ax, back = np.unique(np.abs(x), return_inverse=True)
-    kept = np.empty(ax.size, dtype=np.int64)
-    for i, a in enumerate(ax.tolist()):
-        ell = math.floor(a + 2.0) + 1
-        while ell <= limit and not 4.0 * _i_bound(ell, a) < _CUT_OFF:
-            ell += 1
-        if ell > limit:
-            raise ValueError(f"no Bessel cut-off below order {limit} at x = {a!r}")
-        kept[i] = max(ell, period)
-    return kept[back].reshape(np.shape(x))
+    lgam = np.array([math.lgamma(ell + 2) for ell in range(limit + 2)])
+    with np.errstate(divide="ignore"):
+        log_half = np.log(ax / 2.0)  # -inf at x = 0, where the bound is 0
+
+    def below(ell):  # 4 _i_bound(ell, x) < _CUT_OFF, for ell > |x| + 1
+        with np.errstate(over="ignore"):  # an infinite bound is not below
+            return 4.0 * np.exp((ell + 1) * log_half - lgam[ell] + math.log(2.0)) < _CUT_OFF
+
+    start = np.floor(ax + 2.0) + 1.0  # float: |x| may pass the int64 range
+    g = (math.log(_CUT_OFF / 8.0) + lgam) / np.arange(1, limit + 3)
+    ell = np.minimum(np.maximum(start, np.searchsorted(g, log_half, side="right")), limit + 1)
+    ell = ell.astype(np.int64)
+    ell += (ell <= limit) & ~below(ell)
+    ell -= (ell - 1 >= start) & below(np.maximum(ell - 1, 0))
+    if (ell > limit).any():
+        raise ValueError(f"no Bessel cut-off below order {limit} at x = {float(ax[ell > limit][0])!r}")
+    return np.maximum(ell, period)[back].reshape(np.shape(x))
 
 
 @dataclass
@@ -133,20 +163,24 @@ class ChiralModel:
     hbar = 2 pi / n.  At each z, with x = z sigma, it keeps the orders
     l < max(L(x), P) of the modes (+-1, +-l) (`_kept_orders`).
 
-    w_mat is chi_n of the w term on the modes (0, +-1), so the field is
-    affine in w with slope w_mat."""
+    Its [0, n)^2 window coefficients occupy the rows mu1 in `rows` only: the
+    w term on (0, +-1) sits in row 0 (w_window), the z part in rows 1 and
+    n - 1.  So the field is affine in w with slope w_mat, and `residual` and
+    `system_check` take the equation on those rows, with no n x n matrix."""
 
     n: int
     sigma: float
-    w_mat: np.ndarray
+    rows: tuple
+    w_window: np.ndarray
 
-    def field_matrix(self, w, z) -> np.ndarray:
-        """The field at w and z broadcast together, shape (...) + (n, n).
+    @property
+    def w_mat(self) -> np.ndarray:
+        return _window_matrices(self.w_window, self.n, self.rows)
 
-        The z part is folded once at shape z.shape + (n, n) from the flat
-        (node, mode, coefficient) rows of the modes (+-1, +-l), l below each
-        node's cut-off, and pi/4 on (+-1, +-1); the w term is then added by
-        broadcasting."""
+    def _z_windows(self, z) -> np.ndarray:
+        """The z part's window rows at every z, shape z.shape + (len(rows), n),
+        binned from the flat (node, mode, coefficient) rows of the modes
+        (+-1, +-l), l below each node's cut-off, and pi/4 on (+-1, +-1)."""
         z = _finite_points(z)
         kept = _kept_orders(self.n, z.ravel() * self.sigma)
         row = _expansion_row(matched_hbar(self.n), z.ravel(), int(kept.max(initial=2)) - 1)
@@ -158,8 +192,15 @@ class ChiralModel:
         m2 = np.concatenate([ell, -ell[pos], np.ones_like(every)])
         coeff = np.concatenate([coeff, coeff[pos], np.full(z.size, np.pi / 4.0)])
         modes = np.stack([np.repeat([1, -1], m2.size), np.concatenate([m2, -m2])], axis=1)
-        zpart = _fold(np.tile(node, 2), modes, np.concatenate([coeff, coeff.conj()]), z.size, self.n)
-        zpart = zpart.reshape(z.shape + (self.n, self.n))
+        coeffs = np.concatenate([coeff, coeff.conj()])
+        window = _bin(np.tile(node, 2), modes, coeffs, z.size, self.n, self.rows)
+        return window.reshape(z.shape + window.shape[1:])
+
+    def field_matrix(self, w, z) -> np.ndarray:
+        """The field at w and z broadcast together, shape (...) + (n, n): the
+        z part's windows as matrices, taken once at shape z.shape + (n, n),
+        plus w w_mat by broadcasting."""
+        zpart = _window_matrices(self._z_windows(z), self.n, self.rows)
         return zpart + np.asarray(w, dtype=np.float64)[..., None, None] * self.w_mat
 
     def matrix_field(self, grid: SpacetimeGrid) -> MatrixField:
@@ -167,16 +208,92 @@ class ChiralModel:
         values = self.field_matrix(grid.axis("w")[:, None], grid.axis("z")[None, :])
         return MatrixField(grid, values, self.n)
 
+    def _on_windows(self, grid: SpacetimeGrid, halo: int, equations) -> list:
+        """`_per_w_slab` of the kernel equations(grid, add_commutator, norm)
+        over the field's window coefficients on grid.  The z part's windows
+        are taken once; each slab's coefficients are those plus w w_window."""
+        rows, n = self.rows, self.n
+        kernel = equations(
+            grid,
+            lambda acc, a, b: _add_commutator(acc, a, b, rows, n),
+            lambda c: _window_norm(c, n),
+        )
+        zwin = self._z_windows(grid.axis("z"))
+        w = np.broadcast_to(grid.axis("w")[:, None, None, None], grid.shape[:1] + zwin.shape)
+        return _per_w_slab(w, halo, lambda ws: kernel(zwin + ws[:, :1, :1, :1] * self.w_window))
+
+    def residual(self, grid: SpacetimeGrid) -> ResidualReport:
+        """`residual_chiral` of the field on grid, taken on its window rows:
+        the stencils on the coefficients, the commutator from the structure
+        constants (`_add_commutator`) and the Frobenius norm from
+        trace-orthogonality (`_window_norm`).  Each node holds O(n) values."""
+        grid = checked_grid(grid, ("w", "z"))
+        (per_point,) = self._on_windows(grid, 1, _residual_kernel)
+        return _report(per_point, grid.steps, matched_hbar(self.n), "chiral")
+
+    def system_check(self, grid: SpacetimeGrid) -> "SystemCheckReport":
+        """`chiral_system_check` of the field on grid, on its window rows."""
+        grid = checked_grid(grid, ("w", "z"), nodes=5)
+        curv, div = self._on_windows(grid, 2, _system_kernel)
+        return _system_report(curv, div, grid.steps)
+
 
 def chiral_model(n: int) -> ChiralModel:
     sigma = freq_factor(matched_hbar(n))
+    rows = tuple(sorted({0, 1, n - 1}))
     w_term = np.array([0.5j, -0.5j])
-    w_mat = _fold(np.zeros(2, dtype=np.int64), np.array([[0, 1], [0, -1]]), w_term, 1, n)[0]
-    return ChiralModel(n=n, sigma=sigma, w_mat=w_mat)
+    w_window = _bin(np.zeros(2, dtype=np.int64), np.array([[0, 1], [0, -1]]), w_term, 1, n, rows)[0]
+    return ChiralModel(n=n, sigma=sigma, rows=rows, w_window=w_window)
 
 
 def _frobenius(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(block) ** 2, axis=(-2, -1)))
+
+
+def _window_norm(window: np.ndarray, n: int) -> np.ndarray:
+    """Frobenius norm of sum_mu window[..., mu] L_mu over the last two axes.
+    Each L_mu is monomial with n entries of modulus n / 2 pi, and distinct mu
+    in [0, n)^2 are trace-orthogonal, so the norm is sqrt(n) (n / 2 pi) |window|_2."""
+    return (math.sqrt(n) * n / (2.0 * np.pi)) * _frobenius(window)
+
+
+def _add_commutator(acc, a, b, rows, n: int) -> np.ndarray:
+    """acc + [sum_mu a_mu L_mu, sum_nu b_nu L_nu] on window rows, added into
+    acc in place: all three of shape (..., len(rows), n) over the window rows
+    mu1 in `rows`, acc of the full broadcast shape.
+
+    [L_mu, L_nu] = (n/pi) sin(pi mu x nu / n) L_(mu+nu), with mu + nu folded
+    into [0, n)^2 with its sign (`fold_mode`), and the (0, 0) part, which
+    only rounding makes nonzero, is dropped.  The terms run over the entries
+    (mu1, mu2) at which a is nonzero at some node, each against every row of
+    b nonzero at some node (the operands swapped, with the sign, when b has
+    fewer entries): one row of b, weighted and shifted along mu2, batched
+    over the nodes.  So the work per node is O(n) per (entry, row) pair and
+    no n x n matrix is formed.  A term off the rows in `rows` raises."""
+    rows = np.asarray(rows)
+    entries = [np.argwhere(x.reshape((-1,) + x.shape[-2:]).any(axis=0)) for x in (a, b)]
+    sign = 1.0
+    if len(entries[1]) < len(entries[0]):
+        a, b, sign = b, a, -1.0
+        entries.reverse()
+    slot = np.full(n, -1)
+    slot[rows] = np.arange(rows.size)
+    trace = acc[..., slot[0], 0].copy() if slot[0] >= 0 else None
+    nu2, rows_b = np.arange(n), np.unique(entries[1][:, 0])
+    for i, mu2 in entries[0]:
+        for j in rows_b:
+            (row, _), fold = fold_mode(n, rows[i] + rows[j], mu2 + nu2)
+            if slot[row] < 0:
+                raise ValueError(f"a commutator term lands on window row {row}, outside {rows.tolist()}")
+            cross = (rows[i] * nu2 - mu2 * rows[j]) % (2 * n)
+            weight = (sign * n / np.pi) * np.sin(np.pi * cross / n) * fold
+            term = a[..., i, mu2, None] * (weight * b[..., j, :])
+            # term[..., nu2] lands at column mu2 + nu2, wrapping at nu2 = n - mu2
+            acc[..., slot[row], mu2:] += term[..., : n - mu2]
+            acc[..., slot[row], :mu2] += term[..., n - mu2 :]
+    if trace is not None:
+        acc[..., slot[0], 0] = trace
+    return acc
 
 
 # complex entries per w-slab of the stencil kernels' input (512 KB)
@@ -198,6 +315,42 @@ def _per_w_slab(v: np.ndarray, halo: int, kernel: Callable) -> list:
     return [np.concatenate(slabs) for slabs in zip(*parts)]
 
 
+# The equation's stencil kernels for `_per_w_slab`, over matrices or window
+# coefficients alike: add_commutator(acc, a, b) is acc + [a, b], norm the
+# per-node Frobenius norm of the values.
+
+
+def _residual_kernel(grid, add_commutator, norm):
+    """Per-node norm of v_ww + v_zz + [v_w, v_z]; halo 1."""
+
+    def kernel(v):
+        dw = grid_diff(v, grid, "w")
+        dz = grid_diff(v, grid, "z")
+        return (norm(add_commutator(grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z"), dw, dz)),)
+
+    return kernel
+
+
+def _system_kernel(grid, add_commutator, norm):
+    """Per-node norms of the first-order system's curvature and divergence
+    (`chiral_system_check`); halo 2."""
+
+    def kernel(v):
+        a_w = -grid_diff(v, grid, "z")
+        a_z = grid_diff(v, grid, "w")
+        aw_c = a_w[1:-1, 1:-1]
+        az_c = a_z[1:-1, 1:-1]
+        curv = add_commutator(grid_diff(a_z, grid, "w") - grid_diff(a_w, grid, "z"), aw_c, az_c)
+        div = grid_diff(a_w, grid, "w") + grid_diff(a_z, grid, "z")
+        return norm(curv), norm(div)
+
+    return kernel
+
+
+def _add_matrix_commutator(acc, a, b):
+    return acc + a @ b - b @ a
+
+
 def residual_chiral(field: MatrixField) -> ResidualReport:
     """Residual of vartheta_ww + vartheta_zz + [vartheta_w, vartheta_z].
 
@@ -205,16 +358,12 @@ def residual_chiral(field: MatrixField) -> ResidualReport:
     rank, 2 pi / n, is recorded in the report.  The stencils run per w-slab
     (`_per_w_slab`), so the memory used beyond the field is one slab's
     temporaries plus the per-node norms, and every figure is bit-identical
-    to the same expression taken over the whole grid at once.
+    to the same expression taken over the whole grid at once.  This is the
+    generic oracle on any matrix field; `ChiralModel.residual` takes the
+    model's field on its window coefficients.
     """
     grid = checked_grid(field.grid, ("w", "z"))
-
-    def kernel(v):
-        dw = grid_diff(v, grid, "w")
-        dz = grid_diff(v, grid, "z")
-        res = grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z") + dw @ dz - dz @ dw
-        return (_frobenius(res),)
-
+    kernel = _residual_kernel(grid, _add_matrix_commutator, _frobenius)
     (per_point,) = _per_w_slab(field.values, 1, kernel)
     return _report(per_point, grid.steps, matched_hbar(field.n_dim), "chiral")
 
@@ -226,6 +375,12 @@ class SystemCheckReport:
     steps: dict
 
 
+def _system_report(curv, div, steps) -> SystemCheckReport:
+    return SystemCheckReport(
+        curvature_sup=float(np.max(curv)), divergence_sup=float(np.max(div)), steps=steps
+    )
+
+
 def chiral_system_check(field: MatrixField) -> SystemCheckReport:
     """First-order reformulation residuals.
 
@@ -234,25 +389,13 @@ def chiral_system_check(field: MatrixField) -> SystemCheckReport:
     divergence part d_w A_w + d_z A_z; both are differenced centrally.  Like
     `residual_chiral` the stencils run per w-slab, here with a two-row halo,
     so the memory used beyond the field is O(one slab) and both sups are
-    bit-identical to the whole-grid expressions.
+    bit-identical to the whole-grid expressions.  The generic oracle;
+    `ChiralModel.system_check` takes the model's field on its windows.
     """
     grid = checked_grid(field.grid, ("w", "z"), nodes=5)
-
-    def kernel(v):
-        a_w = -grid_diff(v, grid, "z")
-        a_z = grid_diff(v, grid, "w")
-        aw_c = a_w[1:-1, 1:-1]
-        az_c = a_z[1:-1, 1:-1]
-        curv = grid_diff(a_z, grid, "w") - grid_diff(a_w, grid, "z") + aw_c @ az_c - az_c @ aw_c
-        div = grid_diff(a_w, grid, "w") + grid_diff(a_z, grid, "z")
-        return _frobenius(curv), _frobenius(div)
-
+    kernel = _system_kernel(grid, _add_matrix_commutator, _frobenius)
     curv, div = _per_w_slab(field.values, 2, kernel)
-    return SystemCheckReport(
-        curvature_sup=float(np.max(curv)),
-        divergence_sup=float(np.max(div)),
-        steps=grid.steps,
-    )
+    return _system_report(curv, div, grid.steps)
 
 
 @dataclass

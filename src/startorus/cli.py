@@ -17,12 +17,7 @@ import sys
 
 import numpy as np
 
-from .chiral import (
-    bessel_identity_check,
-    chiral_model,
-    convergence_study,
-    residual_chiral,
-)
+from .chiral import bessel_identity_check, chiral_model, convergence_study
 from .fourier import FourierField, moyal_bracket, poisson_bracket, star_product
 from .geometry import admissible_points, weyl_report
 from .grids import SpacetimeGrid
@@ -233,25 +228,24 @@ def cmd_verify_chiral(p, out) -> int:
         except ValueError:
             raise ValueError(f"--grid-{name} must look like lo:hi, got {text!r}") from None
     model = chiral_model(p["n"])
-    kept = {}  # h -> (grid, field, report), only the coarse grid's and only for --dump
+    kept = {}  # h -> (grid, report), only the coarse grid's and only for --dump
 
     def make_report(h):
         grid = SpacetimeGrid.regular(spans, h)
-        field = model.matrix_field(grid)
-        report = residual_chiral(field)
+        report = model.residual(grid)
         if p["dump"] is not None and h == p["h"]:
-            kept[h] = (grid, field, report)
+            kept[h] = (grid, report)
         return report
 
     rows, order = _refinement_rows(make_report, p["h"], [p["n"]])
     _emit(_csv(["n", "h", "sup_residual", "rms_residual", "observed_order"], rows), out)
     if p["dump"] is not None:
-        grid, field, report = kept[p["h"]]
+        grid, report = kept[p["h"]]
         nd = p["n"]
         header = ["w", "z", "residual"]
         header += [f"m{i}{j}_{part}" for i in range(nd) for j in range(nd) for part in ("re", "im")]
         # one row per interior node, w-major; each entry's re, im side by side
-        inner = field.values[1:-1, 1:-1]
+        inner = model.matrix_field(grid).values[1:-1, 1:-1]
         ws, zs = np.meshgrid(grid.axis("w")[1:-1], grid.axis("z")[1:-1], indexing="ij")
         parts = np.stack([inner.real, inner.imag], axis=-1).reshape(ws.size, -1)
         table = np.column_stack([ws.ravel(), zs.ravel(), report.per_point.ravel(), parts])

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -276,6 +277,9 @@ class FourierField:
                 raise ValueError(f"mode row {row!r} has a non-integral mode")
             if any(abs(m) > _MODE_BOUND for m in row[:2]):
                 raise _mode_error(row[:2])
+            # compared exactly, so an int past the float range is not cast
+            if not all(abs(c) <= sys.float_info.max for c in row[2:]):
+                raise ValueError(f"mode row {row!r} has a non-finite coefficient")
         table = np.array(rows, dtype=np.float64).reshape(-1, 4)
         # each (re, im) pair read as one complex keeps its bits, -0.0 included
         coeffs = table[:, 2:].copy().view(np.complex128).ravel()

@@ -351,16 +351,23 @@ class SeriesSolution:
     def order_field(self, k: int, w: float) -> FourierField:
         return self.orders[k].at_w(w)
 
+    def _weights(self, z: float) -> list:
+        """z^k / k! for every order k, as the running product of z / k: it
+        underflows to 0 where z^k and k! would leave the float range."""
+        weights = [1.0]
+        for k in range(1, len(self.orders)):
+            weights.append(weights[-1] * z / k)
+        return weights
+
     def field_at(self, w: float, z: float) -> FourierField:
         acc = FourierField.zero()
-        for k, theta_k in enumerate(self.orders):
-            acc = acc + (z**k / math.factorial(k)) * theta_k.at_w(w)
+        for weight, theta_k in zip(self._weights(z), self.orders):
+            acc = acc + weight * theta_k.at_w(w)
         return acc
 
     def tail_estimate(self, w: float, z: float) -> float:
         """Magnitude of the last retained term; a heuristic truncation gauge."""
-        k = len(self.orders) - 1
-        return abs(z) ** k / math.factorial(k) * self.orders[k].at_w(w).l2_norm()
+        return self._weights(abs(z))[-1] * self.orders[-1].at_w(w).l2_norm()
 
 
 def kowalewska_series(theta0, theta1, hbar: float, terms: int) -> SeriesSolution:

@@ -34,19 +34,40 @@ def matched_hbar(n: int) -> float:
     return 2.0 * np.pi / n
 
 
+def _bin(node, modes, coeffs, count: int, n: int, rows=None) -> np.ndarray:
+    """The [0, n)^2 windows of `count` fields given as flat rows (node, mode,
+    coefficient): each coefficient, times its fold sign, summed at its mode's
+    window representative mu (`fold_mode`), and (0, 0) dropped.  Shape
+    (count, n, n), or (count, len(rows), n) holding only the window rows mu1
+    in `rows`; a mode that folds onto another row raises."""
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    slot = np.full(n, -1)
+    slot[rows] = np.arange(rows.size)
+    (mu1, mu2), sign = fold_mode(n, modes[:, 0], modes[:, 1])
+    if (slot[mu1] < 0).any():
+        raise ValueError(f"a mode folds onto a window row outside {rows.tolist()}")
+    window = np.zeros((count, rows.size, n), dtype=np.complex128)
+    np.add.at(window, (node, slot[mu1], mu2), sign * coeffs)
+    if slot[0] >= 0:
+        window[:, slot[0], 0] = 0.0
+    return window
+
+
+def _window_matrices(window: np.ndarray, n: int, rows=None) -> np.ndarray:
+    """sum_mu window[..., mu] L_mu, shape window.shape[:-2] + (n, n), for
+    windows holding the rows mu1 in `rows` (all n by default): the sum over
+    mu1 of the monomial values, whose column col[mu2, k] follows from mu2 alone."""
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    col, val = _monomial(n, rows[:, None], np.arange(n))
+    out = np.zeros(window.shape[:-2] + (n, n), dtype=np.complex128)
+    out[..., np.arange(n), col] = np.einsum("...ab,abk->...bk", window, val)
+    return out
+
+
 def _fold(node, modes, coeffs, count: int, n: int) -> np.ndarray:
     """chi_n of `count` fields given as flat rows (node, mode, coefficient):
-    bin the signed coefficients into each node's n x n window, drop (0, 0),
-    and sum over mu1 the window's monomial values, whose column follows
-    from mu2 alone."""
-    col, val = _monomial(n, *np.indices((n, n)))
-    (mu1, mu2), sign = fold_mode(n, modes[:, 0], modes[:, 1])
-    window = np.zeros((count, n, n), dtype=np.complex128)
-    np.add.at(window, (node, mu1, mu2), sign * coeffs)
-    window[:, 0, 0] = 0.0
-    out = np.zeros((count, n, n), dtype=np.complex128)
-    out[:, np.arange(n), col[0]] = np.einsum("zab,abk->zbk", window, val)
-    return out
+    their windows (`_bin`) as matrices (`_window_matrices`)."""
+    return _window_matrices(_bin(node, modes, coeffs, count, n), n)
 
 
 def chi_project(field: FourierField, n: int) -> np.ndarray:

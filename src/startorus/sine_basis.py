@@ -299,4 +299,8 @@ def matrix_from_json(text: str) -> np.ndarray:
     im = np.asarray(data["im"], dtype=np.float64)
     if re.shape != (data["n"], data["n"]) or im.shape != re.shape:
         raise ValueError("matrix payload shape mismatch")
-    return re + 1j * im
+    # the two parts written side by side keep their bits: re + 1j * im would
+    # turn (-0.0, x) into (0.0, x) and an infinite part into a NaN
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out

@@ -30,6 +30,7 @@ from startorus import (
 )
 from startorus import chiral, master_equation
 from startorus.chiral import _frobenius
+from startorus.projection import _window_matrices
 from startorus.master_equation import _bessel_integrals, _bessel_table, _i_bound
 from startorus.numerics import grid_diff, grid_diff2
 
@@ -381,6 +382,51 @@ def test_coefficient_truncation_matches_brute_force(monkeypatch):
         assert np.max(np.abs(got - fold[1])) > 1e-9, n
 
 
+def scalar_kept_orders(n, x):
+    """`chiral._kept_orders` as a scalar loop of `_i_bound` calls over the
+    unique |x|, as it was written before the order table, frozen here."""
+    period = n if n % 2 == 0 else 2 * n
+    limit = 301 * period
+    ax, back = np.unique(np.abs(x), return_inverse=True)
+    kept = np.empty(ax.size, dtype=np.int64)
+    for i, a in enumerate(ax.tolist()):
+        ell = math.floor(a + 2.0) + 1
+        while ell <= limit and not 4.0 * _i_bound(ell, a) < chiral._CUT_OFF:
+            ell += 1
+        if ell > limit:
+            raise ValueError(f"no Bessel cut-off below order {limit} at x = {a!r}")
+        kept[i] = max(ell, period)
+    return kept[back].reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_kept_orders_equal_the_scalar_loop(monkeypatch, n):
+    sigma = chiral_model(n).sigma
+    # the z of verify-chiral's fine grids, the benchmark's shifted ones too,
+    # and x just past each integer, where the first order tried steps up
+    z = np.concatenate([np.linspace(0.0, 2.0, 129) + z0 / 32.0 for z0 in range(5)])
+    past = np.nextafter(np.arange(1.0, 120.0), np.inf)
+    for x in (z * sigma, past, -past, np.arange(0.0, 120.0)):
+        assert np.array_equal(chiral._kept_orders(n, x), scalar_kept_orders(n, x))
+    # the last float below and the first at each step of the scalar rule's
+    # order, where rounding can move a search in a table of the rule by one
+    grid = np.linspace(0.0, 40.0, 401)
+    kept = scalar_kept_orders(n, grid)
+    steps = []
+    for lo, hi in zip(grid[:-1][kept[:-1] < kept[1:]], grid[1:][kept[:-1] < kept[1:]]):
+        below = scalar_kept_orders(n, np.array([lo]))[0]
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if scalar_kept_orders(n, np.array([mid]))[0] == below else (lo, mid)
+        steps += [lo, hi]
+    assert len(steps) > 40
+    steps = np.array(steps)
+    assert np.array_equal(chiral._kept_orders(n, steps), scalar_kept_orders(n, steps))
+    x = np.linspace(-40.0, 40.0, 801)
+    for cut_off in (1e-3, 1e-8):
+        monkeypatch.setattr(chiral, "_CUT_OFF", cut_off)
+        assert np.array_equal(chiral._kept_orders(n, x), scalar_kept_orders(n, x))
+
+
 def test_coefficient_that_never_converges_raises(monkeypatch):
     # past 301 periods of orders the cut-off gives up, at the smallest
     # offending |x|; a far-off |x| fails before any Bessel table is built
@@ -533,6 +579,104 @@ def test_stencil_memory_stays_within_a_slab():
         tracemalloc.stop()
     assert residual_peak < budget, (residual_peak, budget)
     assert system_peak < budget, (system_peak, budget)
+
+
+def random_windows(rng, n, nodes=4):
+    """Dense [0, n)^2 windows, every row occupied, (0, 0) dropped."""
+    window = rng.standard_normal((nodes, n, n)) + 1j * rng.standard_normal((nodes, n, n))
+    window[:, 0, 0] = 0.0
+    return window
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_window_norm_is_the_frobenius_norm(n):
+    # distinct L_mu are trace-orthogonal with |L_mu|_F = sqrt(n) n / 2 pi
+    window = random_windows(np.random.default_rng(n), n)
+    mats = _window_matrices(window, n)
+    assert np.allclose(chiral._window_norm(window, n), _frobenius(mats), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_structure_constant_commutator_equals_the_matrix_commutator(n):
+    rng = np.random.default_rng(10 + n)
+    a, b = random_windows(rng, n), random_windows(rng, n)
+    ma, mb = _window_matrices(a, n), _window_matrices(b, n)
+    want = ma @ mb - mb @ ma
+    acc = random_windows(rng, n)
+    got = chiral._add_commutator(acc.copy(), a, b, range(n), n)
+    scale = np.max(np.abs(ma @ mb))
+    assert np.max(np.abs(_window_matrices(got, n) - _window_matrices(acc, n) - want)) <= 1e-13 * scale
+    assert np.array_equal(got[:, 0, 0], acc[:, 0, 0])  # the trace part is dropped
+    # sparse operands, in either order: only their occupied entries are taken
+    sparse = np.zeros_like(a)
+    sparse[:, 0, 1 % n] = a[:, 0, 1 % n]
+    for x, y in ((sparse, b), (b, sparse)):
+        mx, my = _window_matrices(x, n), _window_matrices(y, n)
+        got = _window_matrices(chiral._add_commutator(np.zeros_like(a), x, y, range(n), n), n)
+        assert np.max(np.abs(got - (mx @ my - my @ mx))) <= 1e-13 * scale
+
+
+def test_commutator_off_the_window_rows_raises():
+    n, rows = 5, (0, 1, 4)
+    a = np.zeros((1, 3, n), dtype=complex)
+    a[0, 1, 2] = 1.0  # on row 1, so [a, a] would land on row 2
+    with pytest.raises(ValueError, match="window row 2"):
+        chiral._add_commutator(np.zeros_like(a), a, a, rows, n)
+
+
+def cancelling_terms(field):
+    """Per node, the larger Frobenius norm of the two parts of the residual,
+    vartheta_ww + vartheta_zz and [vartheta_w, vartheta_z], which cancel."""
+    grid, v = field.grid, field.values
+    dw, dz = grid_diff(v, grid, "w"), grid_diff(v, grid, "z")
+    lin = grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z")
+    return np.maximum(_frobenius(lin), _frobenius(dw @ dz - dz @ dw))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_model_residual_on_windows_equals_the_matrix_residual(n):
+    model = chiral_model(n)
+    for h in (0.125, 1.0 / 32.0):
+        grid = SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, h)
+        field = model.matrix_field(grid)
+        want, got = residual_chiral(field), model.residual(grid)
+        scale = cancelling_terms(field)
+        assert got.per_point.shape == want.per_point.shape
+        assert np.all(np.abs(got.per_point - want.per_point) <= 1e-12 * scale), (n, h)
+        assert (got.label, got.hbar, got.steps) == (want.label, want.hbar, want.steps)
+        system, oracle = model.system_check(grid), chiral_system_check(field)
+        assert abs(system.curvature_sup - oracle.curvature_sup) <= 1e-12 * np.max(scale)
+        assert system.divergence_sup <= 1e-12 * np.max(scale)
+        assert oracle.divergence_sup <= 1e-12 * np.max(scale)
+    with pytest.raises(ValueError):
+        model.residual(SpacetimeGrid({"w": [0.0, 0.1], "z": [0.0, 0.1, 0.2]}))
+    with pytest.raises(ValueError):
+        model.system_check(chiral_grids(4))
+
+
+@pytest.mark.parametrize("row_budget, rows", [(0.5, 1), (4.5, 4), (100, 100)])
+def test_window_slabs_are_bit_identical_to_one_slab(monkeypatch, row_budget, rows):
+    model = chiral_model(5)
+    grid = SpacetimeGrid({"w": np.linspace(-0.5, 0.5, 17), "z": np.linspace(0.1, 1.1, 11)})
+    whole = model.residual(grid), model.system_check(grid)
+    row = 11 * len(model.rows) * 5  # window coefficients per w row
+    monkeypatch.setattr(chiral, "_SLAB", int(row_budget * row))
+    assert max(1, chiral._SLAB // row) == rows
+    assert np.array_equal(model.residual(grid).per_point, whole[0].per_point)
+    assert model.system_check(grid) == whole[1]
+
+
+def test_window_residual_forms_no_matrix_per_node():
+    # n = 32 on the cli-studies fine grid: its matrix field alone is 272 MB
+    grid = SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, 1.0 / 64.0)
+    model = chiral_model(32)
+    tracemalloc.start()
+    try:
+        model.residual(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_first_order_system_check():

@@ -1,6 +1,7 @@
 """Command line behavior: payloads, precedence, exit codes, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,8 +16,8 @@ from startorus import (
     SingularMetricError,
     SpacetimeGrid,
     basis_matrix,
+    ChiralModel,
     chiral_model,
-    residual_chiral,
 )
 from startorus.cli import ContractViolation, main
 from startorus.sine_basis import matrix_from_json
@@ -84,6 +85,25 @@ def test_project_payload(capsys):
     assert code == 0
     mat = matrix_from_json(out)
     assert np.max(np.abs(mat - 0.5 * basis_matrix(4, 1, 1))) < 1e-15
+
+
+def test_solve_past_the_factorial_range(capsys):
+    # 171! leaves the float range; z^k / k! is a running product of z / k
+    code, out, err = run(capsys, "solve", "--terms", "200")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["order_norms"]) == 200
+    values = payload["order_norms"] + [payload["tail_estimate"]]
+    values += [x for row in payload["field"]["modes"] for x in row[2:]]
+    assert all(math.isfinite(x) for x in values)
+
+
+def test_coefficient_past_the_float_range_exits_one_with_one_line(capsys):
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "star", "--f", f"[[1,0,{huge},0]]", "--g", "[[0,1,1,0]]")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: mode row [1, 0, {huge}, 0] has a non-finite coefficient")
+    assert err.count("\n") == 1, err
 
 
 def test_solve_payload(capsys):
@@ -166,7 +186,7 @@ def test_verify_chiral_dump_matches_a_per_cell_loop(capsys, tmp_path):
     assert code == 0
     grid = SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, 0.125)
     field = chiral_model(2).matrix_field(grid)
-    report = residual_chiral(field)
+    report = chiral_model(2).residual(grid)
     header = ["w", "z", "residual"]
     for i in range(2):
         for j in range(2):
@@ -194,15 +214,14 @@ def test_verify_chiral_past_the_bessel_cut_off_names_x(capsys):
 
 
 def test_verify_chiral_dump_reuses_the_coarse_report(capsys, tmp_path, monkeypatch):
-    import startorus.cli as cli
-
     reports = []
+    residual = ChiralModel.residual
 
-    def counted(field):
-        reports.append(residual_chiral(field))
+    def counted(model, grid):
+        reports.append(residual(model, grid))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "residual_chiral", counted)
+    monkeypatch.setattr(ChiralModel, "residual", counted)
     dump = tmp_path / "per_point.csv"
     code, out, _ = run(capsys, "verify-chiral", "--n", "2", "--h", "0.125",
                        "--dump", str(dump))

@@ -663,6 +663,9 @@ MALFORMED_PAYLOADS = [
     '{"modes": [[99999999999999999999, 0, 1, 0]]}', '{"modes": [[1e30, 0, 1, 0]]}',
     '{"modes": [[4611686018427387904, 0, 1, 0]]}',
     '{"modes": [[9223372036854775807, 0, 1, 0]]}',
+    # coefficients past the float range: a 401-digit integer, a float literal
+    pytest.param('{"modes": [[1, 0, 1' + "0" * 400 + ', 0]]}', id="int_coefficient_past_float"),
+    '{"modes": [[1, 0, 0, -1e400]]}',
 ]
 
 
@@ -723,6 +726,18 @@ def test_from_json_reads_integral_floats_and_keeps_signed_zeros():
     assert f.to_dict() == {(1, -2): 1.5j, (0, 3): 2.0}
     signs = {m: (math.copysign(1, c.real), math.copysign(1, c.imag)) for m, c in f.items()}
     assert signs == {(1, -2): (-1.0, 1.0), (0, 3): (1.0, -1.0)}
+
+
+def test_from_payload_names_the_row_of_a_non_finite_coefficient():
+    huge = 10**400
+    for row in ([1, 0, huge, 0], [1, 0, 0, -huge], [0, 1, float("inf"), 0], [2, 2, 1.0, float("nan")]):
+        with pytest.raises(ValueError, match="non-finite coefficient") as err:
+            FourierField.from_payload({"modes": [[0, 1, 1.0, 0.0], row]})
+        assert str(err.value).startswith(f"mode row {row!r}")
+    # the largest finite double is still a coefficient, as an int or a float
+    top = float(np.finfo(np.float64).max)
+    f = FourierField.from_payload({"modes": [[1, 0, int(top), -top]]})
+    assert f.to_dict() == {(1, 0): complex(top, -top)}
 
 
 def test_modes_are_bounded_by_two_to_the_thirty():

@@ -209,6 +209,14 @@ def test_matrix_json_round_trip():
         matrix_from_json('{"n": 2, "re": [[1.0]], "im": [[0.0]]}')
 
 
+def test_matrix_json_keeps_signed_zeros_and_infinite_parts():
+    for text in (
+        '{"im": [[1.0]], "n": 1, "re": [[-0.0]]}',
+        '{"im": [[Infinity, -0.0], [-Infinity, 2.5]], "n": 2, "re": [[-0.0, -Infinity], [0.0, Infinity]]}',
+    ):
+        assert matrix_to_json(matrix_from_json(text)) == text
+
+
 def per_entry_matrix_to_json(mat: np.ndarray) -> str:
     """`matrix_to_json` as it was written before `tolist()`: one float() per
     entry, kept as the reference for its bytes."""
