@@ -37,7 +37,9 @@ structure constants [L_mu, L_nu] = (n/pi) sin(pi mu x nu / n) L_(mu+nu)
 signs; and the norm from trace-orthogonality: every L_mu is monomial with n
 entries of modulus n / 2 pi and distinct mu are orthogonal, so
 |sum_mu a_mu L_mu|_F = sqrt(n) (n / 2 pi) |a|_2.  Each node then holds O(n)
-values, not n^2, and the two paths agree to rounding.
+values, not n^2.  The rows split by variable (row 0 holds only w, rows 1
+and n - 1 only z), so the equation depends on z alone and is taken on one
+strip of w rows (`ChiralModel._on_windows`).  The two paths agree to rounding.
 """
 
 from __future__ import annotations
@@ -209,30 +211,36 @@ class ChiralModel:
         return MatrixField(grid, values, self.n)
 
     def _on_windows(self, grid: SpacetimeGrid, halo: int, equations) -> list:
-        """`_per_w_slab` of the kernel equations(grid, add_commutator, norm)
-        over the field's window coefficients on grid.  The z part's windows
-        are taken once; each slab's coefficients are those plus w w_window."""
+        """The kernel equations(grid, add_commutator, norm) over the field's
+        window coefficients on the first 2 halo + 1 w rows of grid, its one
+        output row repeated over every interior w row.  That is exact: row 0
+        holds only w w_window and rows 1, n - 1 only z, so the z rows' w- and
+        row 0's z-differences are 0, and row 0's w-differences are the same
+        on every row of a dyadic w axis (w_window's entries are +-i/2 or i),
+        and on any other to the axis' rounding."""
         rows, n = self.rows, self.n
         kernel = equations(
             grid,
             lambda acc, a, b: _add_commutator(acc, a, b, rows, n),
             lambda c: _window_norm(c, n),
         )
-        zwin = self._z_windows(grid.axis("z"))
-        w = np.broadcast_to(grid.axis("w")[:, None, None, None], grid.shape[:1] + zwin.shape)
-        return _per_w_slab(w, halo, lambda ws: kernel(zwin + ws[:, :1, :1, :1] * self.w_window))
+        w = grid.axis("w")[: 2 * halo + 1, None, None, None]
+        strip = kernel(self._z_windows(grid.axis("z")) + w * self.w_window)
+        return [np.repeat(row, grid.shape[0] - 2 * halo, axis=0) for row in strip]
 
     def residual(self, grid: SpacetimeGrid) -> ResidualReport:
         """`residual_chiral` of the field on grid, taken on its window rows:
         the stencils on the coefficients, the commutator from the structure
         constants (`_add_commutator`) and the Frobenius norm from
-        trace-orthogonality (`_window_norm`).  Each node holds O(n) values."""
+        trace-orthogonality (`_window_norm`).  Each node holds O(n) values, and
+        one strip of three w rows holds every w row's residual (`_on_windows`)."""
         grid = checked_grid(grid, ("w", "z"))
         (per_point,) = self._on_windows(grid, 1, _residual_kernel)
         return _report(per_point, grid.steps, matched_hbar(self.n), "chiral")
 
     def system_check(self, grid: SpacetimeGrid) -> "SystemCheckReport":
-        """`chiral_system_check` of the field on grid, on its window rows."""
+        """`chiral_system_check` of the field on grid, on its window rows and
+        one strip of five w rows (`_on_windows`)."""
         grid = checked_grid(grid, ("w", "z"), nodes=5)
         curv, div = self._on_windows(grid, 2, _system_kernel)
         return _system_report(curv, div, grid.steps)
@@ -315,9 +323,9 @@ def _per_w_slab(v: np.ndarray, halo: int, kernel: Callable) -> list:
     return [np.concatenate(slabs) for slabs in zip(*parts)]
 
 
-# The equation's stencil kernels for `_per_w_slab`, over matrices or window
-# coefficients alike: add_commutator(acc, a, b) is acc + [a, b], norm the
-# per-node Frobenius norm of the values.
+# The equation's stencil kernels, over matrices (per `_per_w_slab` slab) or
+# window coefficients (on one w strip) alike: add_commutator(acc, a, b) is
+# acc + [a, b], norm the per-node Frobenius norm of the values.
 
 
 def _residual_kernel(grid, add_commutator, norm):

@@ -156,6 +156,8 @@ def _i_bound(ell: int, x: float) -> float:
     if ell <= ax + 1.0:
         return ax  # |J_ell| <= 1
     # |J_ell(t)| <= (t/2)^ell / ell! once ell clears the argument
+    if ax / 2.0 == 0.0:
+        return 0.0  # the bound underflows: |x| is the least subnormal
     log_b = (ell + 1) * math.log(ax / 2.0) - math.lgamma(ell + 2) + math.log(2.0)
     return math.exp(log_b)
 

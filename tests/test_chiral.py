@@ -406,7 +406,8 @@ def test_kept_orders_equal_the_scalar_loop(monkeypatch, n):
     # and x just past each integer, where the first order tried steps up
     z = np.concatenate([np.linspace(0.0, 2.0, 129) + z0 / 32.0 for z0 in range(5)])
     past = np.nextafter(np.arange(1.0, 120.0), np.inf)
-    for x in (z * sigma, past, -past, np.arange(0.0, 120.0)):
+    least = np.array([5e-324, -5e-324])  # |x| / 2 rounds to 0
+    for x in (z * sigma, past, -past, np.arange(0.0, 120.0), least):
         assert np.array_equal(chiral._kept_orders(n, x), scalar_kept_orders(n, x))
     # the last float below and the first at each step of the scalar rule's
     # order, where rounding can move a search in a table of the rule by one
@@ -486,6 +487,8 @@ def test_expansion_at_z_zero_and_validation():
     assert exp.tail_bound == 0.0
     with pytest.raises(ValueError):
         fourier_expansion_theta(0.9, 0.0, 0.0, band_limit=0)
+    # at the least subnormal z, |x| / 2 rounds to 0 and the bound underflows
+    assert fourier_expansion_theta(1.0, 0.0, 5e-324, 4).tail_bound == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +639,15 @@ def cancelling_terms(field):
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
 def test_model_residual_on_windows_equals_the_matrix_residual(n):
     model = chiral_model(n)
-    for h in (0.125, 1.0 / 32.0):
-        grid = SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, h)
+    grids = [SpacetimeGrid.regular({"w": (-1.0, 1.0), "z": (0.0, 2.0)}, h) for h in (0.125, 1.0 / 32.0)]
+    # an off-dyadic w axis, whose differences vary from row to row by rounding
+    grids.append(SpacetimeGrid({"w": np.linspace(-0.7, 0.9, 37), "z": np.linspace(0.0, 2.0, 33)}))
+    for grid in grids:
         field = model.matrix_field(grid)
         want, got = residual_chiral(field), model.residual(grid)
         scale = cancelling_terms(field)
         assert got.per_point.shape == want.per_point.shape
-        assert np.all(np.abs(got.per_point - want.per_point) <= 1e-12 * scale), (n, h)
+        assert np.all(np.abs(got.per_point - want.per_point) <= 1e-12 * scale), (n, grid.steps)
         assert (got.label, got.hbar, got.steps) == (want.label, want.hbar, want.steps)
         system, oracle = model.system_check(grid), chiral_system_check(field)
         assert abs(system.curvature_sup - oracle.curvature_sup) <= 1e-12 * np.max(scale)
@@ -664,6 +669,67 @@ def test_window_slabs_are_bit_identical_to_one_slab(monkeypatch, row_budget, row
     assert max(1, chiral._SLAB // row) == rows
     assert np.array_equal(model.residual(grid).per_point, whole[0].per_point)
     assert model.system_check(grid) == whole[1]
+
+
+def slab_on_windows(model, grid, halo, equations):
+    """`ChiralModel._on_windows` as it was before the one-strip form: the
+    kernel over every w row of the window coefficients, per `_per_w_slab`
+    slab, frozen here as the strip's reference."""
+    rows, n = model.rows, model.n
+    kernel = equations(
+        grid,
+        lambda acc, a, b: chiral._add_commutator(acc, a, b, rows, n),
+        lambda c: chiral._window_norm(c, n),
+    )
+    zwin = model._z_windows(grid.axis("z"))
+    w = np.broadcast_to(grid.axis("w")[:, None, None, None], grid.shape[:1] + zwin.shape)
+    return chiral._per_w_slab(w, halo, lambda ws: kernel(zwin + ws[:, :1, :1, :1] * model.w_window))
+
+
+def verify_chiral_grids():
+    """verify-chiral's dyadic grids: the default spans at h = 1/64, and at
+    h = 1/32 the benchmark's spans shifted by w0, z0 in steps of 1/32, every
+    w0 in [-4, 4] and every z0 in [0, 4] among them, (0, 0) the default."""
+
+    def grid(w0, z0, h):
+        return SpacetimeGrid.regular({"w": (w0 - 1.0, w0 + 1.0), "z": (z0, z0 + 2.0)}, h)
+
+    yield grid(0.0, 0.0, 1.0 / 64.0)
+    for w0 in range(-4, 5):
+        yield grid(w0 / 32.0, (w0 % 5) / 32.0, 1.0 / 32.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+def test_window_strip_is_bit_identical_to_the_w_slabs(n):
+    model = chiral_model(n)
+    for grid in verify_chiral_grids():
+        for halo, equations in ((1, chiral._residual_kernel), (2, chiral._system_kernel)):
+            got = model._on_windows(grid, halo, equations)
+            want = slab_on_windows(model, grid, halo, equations)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b), (n, grid.steps, halo)
+
+
+@pytest.mark.parametrize("name, halo", [("_residual_kernel", 1), ("_system_kernel", 2)])
+def test_model_equations_run_once_on_one_w_strip(monkeypatch, name, halo):
+    equations, strips = getattr(chiral, name), []
+
+    def spied(grid, add_commutator, norm):
+        kernel = equations(grid, add_commutator, norm)
+        return lambda v: strips.append(v.shape[0]) or kernel(v)
+
+    monkeypatch.setattr(chiral, name, spied)
+    model = chiral_model(5)
+    grid = SpacetimeGrid({"w": np.linspace(-0.5, 0.5, 17), "z": np.linspace(0.1, 1.1, 11)})
+    if halo == 1:
+        per_point = model.residual(grid).per_point
+        assert per_point.shape == (15, 9) and per_point.flags.writeable
+        # every interior w row holds the same residual
+        assert all(np.array_equal(row, per_point[0]) for row in per_point)
+    else:
+        model.system_check(grid)
+    assert strips == [2 * halo + 1]
 
 
 def test_window_residual_forms_no_matrix_per_node():
