@@ -10,7 +10,9 @@ integrals
 besides pi/4 on (+-1, +-1) and the w term on (0, +-1).  So the field is
 affine in w, and at each z it keeps the orders l below max(L(x), P), where
 P is the fold period and L(x) the first order past |x| + 2 whose integral
-is bounded below 1e-13 / 4 (`_kept_orders`).
+`_i_bound` bounds below 1e-13 / 4 (`_kept_orders`).  The fold sends (1, l)
+to window row 1 and (-1, l) to row n - 1, where the z part is summed a
+block of n orders at a time (`ChiralModel._z_windows`).
 The field solves vartheta_ww + vartheta_zz + [vartheta_w, vartheta_z] = 0
 and encodes a principally embedded chiral model whose n -> infinity limit
 recovers the torus solution at quadratic rate in 1/n.
@@ -65,7 +67,7 @@ from .master_equation import (
     freq_factor,
 )
 from .numerics import checked_grid, grid_diff, grid_diff2
-from .projection import MatrixField, _bin, _window_matrices, matched_hbar
+from .projection import MatrixField, _window_matrices, matched_hbar
 from .sine_basis import fold_mode
 
 __all__ = [
@@ -106,31 +108,22 @@ def _kept_orders(n: int, x: np.ndarray) -> np.ndarray:
     the explicit families (the oracle in tests/test_chiral.py) give up on
     their 301 terms l = e, e + P, ..., e + 300 P, 0 <= e < P.
 
-    Past |x| + 1, log _i_bound(l, x) = (l + 1) log(|x|/2) - lgamma(l + 2) + log 2,
-    so the rule reads log(|x|/2) < g(l) = (log(_CUT_OFF / 8) + lgamma(l + 2)) / (l + 1),
-    and g increases with l: one search of the unique log(|x|/2) in a table of
-    g gives L(x), and the rule itself, taken once at L(x) and L(x) - 1, moves
-    it onto the order the scalar test picks where rounding puts the two apart."""
+    L(x) is bisected between floor(|x| + 2) and min(ceil(e^2 |x| / 2) + 42,
+    301 P + 1): past |x| + 2 the bound more than halves per order, and as
+    lgamma(l + 2) >= (l + 1) (log(l + 1) - 1) it is below 2 e^-43 at the top."""
     period = n if n % 2 == 0 else 2 * n
     limit = 301 * period
     ax, back = np.unique(np.abs(x), return_inverse=True)
-    lgam = np.array([math.lgamma(ell + 2) for ell in range(limit + 2)])
-    with np.errstate(divide="ignore"):
-        log_half = np.log(ax / 2.0)  # -inf at x = 0, where the bound is 0
-
-    def below(ell):  # 4 _i_bound(ell, x) < _CUT_OFF, for ell > |x| + 1
-        with np.errstate(over="ignore"):  # an infinite bound is not below
-            return 4.0 * np.exp((ell + 1) * log_half - lgam[ell] + math.log(2.0)) < _CUT_OFF
-
-    start = np.floor(ax + 2.0) + 1.0  # float: |x| may pass the int64 range
-    g = (math.log(_CUT_OFF / 8.0) + lgam) / np.arange(1, limit + 3)
-    ell = np.minimum(np.maximum(start, np.searchsorted(g, log_half, side="right")), limit + 1)
-    ell = ell.astype(np.int64)
-    ell += (ell <= limit) & ~below(ell)
-    ell -= (ell - 1 >= start) & below(np.maximum(ell - 1, 0))
-    if (ell > limit).any():
-        raise ValueError(f"no Bessel cut-off below order {limit} at x = {float(ax[ell > limit][0])!r}")
-    return np.maximum(ell, period)[back].reshape(np.shape(x))
+    with np.errstate(over="ignore"):  # an infinite bound is not below; an infinite e^2 |x| is clipped
+        lo = np.floor(np.minimum(ax, limit) + 2.0).astype(np.int64)
+        hi = np.minimum(np.ceil(math.e**2 * ax / 2.0) + 42.0, limit + 1).astype(np.int64)
+        while (open_ := np.flatnonzero(hi - lo > 1)).size:
+            mid = (lo[open_] + hi[open_]) // 2
+            below = 4.0 * _i_bound(mid, ax[open_]) < _CUT_OFF
+            lo[open_], hi[open_] = np.where(below, lo[open_], mid), np.where(below, mid, hi[open_])
+    if (hi > limit).any():
+        raise ValueError(f"no Bessel cut-off below order {limit} at x = {float(ax[hi > limit][0])!r}")
+    return np.maximum(hi, period)[back].reshape(np.shape(x))
 
 
 @dataclass
@@ -151,8 +144,7 @@ def fourier_expansion_theta(hbar: float, w: float, z: float, band_limit: int) ->
     the reported tail."""
     sol = ClosedFormSolution(hbar)
     field = FourierField.from_window(sol.windows(w, z, band_limit))
-    x = z * sol.s
-    tail = sum(2.0 * _i_bound(ell, x) / sol.s for ell in range(band_limit + 1, band_limit + 81))
+    tail = np.sum(2.0 * _i_bound(np.arange(band_limit + 1, band_limit + 81), z * sol.s) / sol.s)
     return ExpansionResult(
         field=field, tail_bound=float(tail), band_limit=band_limit,
         hbar=sol.hbar, w=float(w), z=float(z),
@@ -167,8 +159,9 @@ class ChiralModel:
 
     Its [0, n)^2 window coefficients occupy the rows mu1 in `rows` only: the
     w term on (0, +-1) sits in row 0 (w_window), the z part in rows 1 and
-    n - 1.  So the field is affine in w with slope w_mat, and `residual` and
-    `system_check` take the equation on those rows, with no n x n matrix."""
+    n - 1, summed there from the fold's closed form (`_z_windows`).  So the
+    field is affine in w with slope w_mat, and `residual` and `system_check`
+    take the equation on those rows, with no n x n matrix."""
 
     n: int
     sigma: float
@@ -180,22 +173,35 @@ class ChiralModel:
         return _window_matrices(self.w_window, self.n, self.rows)
 
     def _z_windows(self, z) -> np.ndarray:
-        """The z part's window rows at every z, shape z.shape + (len(rows), n),
-        binned from the flat (node, mode, coefficient) rows of the modes
-        (+-1, +-l), l below each node's cut-off, and pi/4 on (+-1, +-1)."""
+        """The z part's window rows at every z, shape z.shape + (len(rows), n).
+
+        fold_mode takes (1, m2) to (1, m2 mod n) with sign +1 and (-1, m2) to
+        (n - 1, m2 mod n) with sign (-1)^(mu2 + 1), so each row sums blocks of
+        n orders of `_expansion_row`, 0 past a node's cut-off.  Row 1 adds, a
+        block at a time from 0, the modes (1, l), then (1, -l), l > 0, then
+        pi/4 on (1, 1); then row n - 1 (row 1 again at n = 2) their mirrors
+        (-1, -l), (-1, l), (-1, -1), of coefficients sign conj(c).  That map
+        flips signs only, so it is taken once on the sum, rounded the same."""
         z = _finite_points(z)
-        kept = _kept_orders(self.n, z.ravel() * self.sigma)
-        row = _expansion_row(matched_hbar(self.n), z.ravel(), int(kept.max(initial=2)) - 1)
-        node, ell = np.nonzero(np.arange(row.shape[1]) < kept[:, None])
-        coeff, pos, every = row[node, ell], ell > 0, np.arange(z.size)
-        # rows (1, l), (1, -l) with one coefficient and pi/4 on (1, 1), then
-        # their mirrors (-1, -m2) with the conjugates
-        node = np.concatenate([node, node[pos], every])
-        m2 = np.concatenate([ell, -ell[pos], np.ones_like(every)])
-        coeff = np.concatenate([coeff, coeff[pos], np.full(z.size, np.pi / 4.0)])
-        modes = np.stack([np.repeat([1, -1], m2.size), np.concatenate([m2, -m2])], axis=1)
-        coeffs = np.concatenate([coeff, coeff.conj()])
-        window = _bin(np.tile(node, 2), modes, coeffs, z.size, self.n, self.rows)
+        n, col = self.n, np.arange(self.n)
+        kept = _kept_orders(n, z.ravel() * self.sigma)
+        width = int(kept.max(initial=2))
+        blocks, live = -(-width // n), np.arange(width) < kept[:, None]
+        orders = np.zeros((z.size, blocks * n), dtype=np.complex128)
+        np.copyto(orders[:, :width], _expansion_row(matched_hbar(n), z.ravel(), width - 1), where=live)
+        orders = orders.reshape(z.size, blocks, n).swapaxes(0, 1)
+        lead = orders[0, :, 0].copy()
+        orders[0, :, 0] = 0.0  # the modes (1, -l) and (-1, l) start at l = 1
+        neg, sign = -col % n, (-1.0) ** (col + 1)
+        window = np.zeros((z.size, len(self.rows), n), dtype=np.complex128)
+        for mu1, image, cols in ((1, np.copy, (col, neg)), (n - 1, lambda v: sign * v.conj(), (neg, col))):
+            acc = image(window[:, self.rows.index(mu1)])
+            acc[:, 0] += lead
+            for c in cols:
+                for block in orders[..., c]:
+                    acc += block
+            acc[:, mu1] += np.pi / 4.0
+            window[:, self.rows.index(mu1)] = image(acc) + 0.0  # no -0.0, as if added from 0
         return window.reshape(z.shape + window.shape[1:])
 
     def field_matrix(self, w, z) -> np.ndarray:
@@ -249,8 +255,9 @@ class ChiralModel:
 def chiral_model(n: int) -> ChiralModel:
     sigma = freq_factor(matched_hbar(n))
     rows = tuple(sorted({0, 1, n - 1}))
-    w_term = np.array([0.5j, -0.5j])
-    w_window = _bin(np.zeros(2, dtype=np.int64), np.array([[0, 1], [0, -1]]), w_term, 1, n, rows)[0]
+    w_window = np.zeros((len(rows), n), dtype=np.complex128)
+    (_, mu2), sign = fold_mode(n, 0, np.array([1, -1]))  # the w term on (0, +-1)
+    np.add.at(w_window[0], mu2, sign * np.array([0.5j, -0.5j]))
     return ChiralModel(n=n, sigma=sigma, rows=rows, w_window=w_window)
 
 

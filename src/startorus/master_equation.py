@@ -148,18 +148,18 @@ def _bessel_integrals(order: int, x) -> np.ndarray:
     return 2.0 * tails[1 : order + 2].reshape((order + 1,) + x.shape)
 
 
-def _i_bound(ell: int, x: float) -> float:
-    """Crude but safe bound on |I_ell(x)| for truncation decisions."""
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ell <= ax + 1.0:
-        return ax  # |J_ell| <= 1
-    # |J_ell(t)| <= (t/2)^ell / ell! once ell clears the argument
-    if ax / 2.0 == 0.0:
-        return 0.0  # the bound underflows: |x| is the least subnormal
-    log_b = (ell + 1) * math.log(ax / 2.0) - math.lgamma(ell + 2) + math.log(2.0)
-    return math.exp(log_b)
+def _i_bound(ell, x) -> np.ndarray:
+    """Crude but safe bound on |I_ell(x)| for truncation decisions, at ell
+    and x broadcast together: |x| up to order |x| + 1 (|J_ell| <= 1), and
+    past it 2 (|x|/2)^(ell+1) / (ell+1)!, as |J_ell(t)| <= (t/2)^ell / ell!,
+    0 where |x|/2 underflows; one `math.lgamma` call per such entry."""
+    ell, ax = np.broadcast_arrays(np.asarray(ell, dtype=np.float64), np.abs(x, dtype=np.float64))
+    out = np.where(ell <= ax + 1.0, ax, 0.0)
+    far = (ell > ax + 1.0) & (ax / 2.0 > 0.0)
+    lgam = [math.lgamma(v) for v in (ell[far] + 2.0).tolist()]
+    with np.errstate(over="ignore"):
+        out[far] = np.exp((ell[far] + 1.0) * np.log(ax[far] / 2.0) - lgam + math.log(2.0))
+    return out
 
 
 def _expansion_row(hbar, z, band_limit: int) -> np.ndarray:

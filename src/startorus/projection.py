@@ -34,22 +34,14 @@ def matched_hbar(n: int) -> float:
     return 2.0 * np.pi / n
 
 
-def _bin(node, modes, coeffs, count: int, n: int, rows=None) -> np.ndarray:
-    """The [0, n)^2 windows of `count` fields given as flat rows (node, mode,
-    coefficient): each coefficient, times its fold sign, summed at its mode's
-    window representative mu (`fold_mode`), and (0, 0) dropped.  Shape
-    (count, n, n), or (count, len(rows), n) holding only the window rows mu1
-    in `rows`; a mode that folds onto another row raises."""
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    slot = np.full(n, -1)
-    slot[rows] = np.arange(rows.size)
+def _bin(node, modes, coeffs, count: int, n: int) -> np.ndarray:
+    """The [0, n)^2 windows, shape (count, n, n), of `count` fields given as
+    flat rows (node, mode, coefficient): each coefficient times its fold sign
+    summed at its mode's window representative mu (`fold_mode`), (0, 0) dropped."""
     (mu1, mu2), sign = fold_mode(n, modes[:, 0], modes[:, 1])
-    if (slot[mu1] < 0).any():
-        raise ValueError(f"a mode folds onto a window row outside {rows.tolist()}")
-    window = np.zeros((count, rows.size, n), dtype=np.complex128)
-    np.add.at(window, (node, slot[mu1], mu2), sign * coeffs)
-    if slot[0] >= 0:
-        window[:, slot[0], 0] = 0.0
+    window = np.zeros((count, n, n), dtype=np.complex128)
+    np.add.at(window, (node, mu1, mu2), sign * coeffs)
+    window[:, 0, 0] = 0.0
     return window
 
 

@@ -31,7 +31,8 @@ from startorus import (
 from startorus import chiral, master_equation
 from startorus.chiral import _frobenius
 from startorus.projection import _window_matrices
-from startorus.master_equation import _bessel_integrals, _bessel_table, _i_bound
+from startorus.master_equation import _bessel_integrals, _bessel_table, _expansion_row, _i_bound
+from startorus.sine_basis import fold_mode
 from startorus.numerics import grid_diff, grid_diff2
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -151,10 +152,39 @@ def test_bessel_functions_reject_non_finite_arguments():
         chiral_model(3).field_matrix(0.0, np.nan)
 
 
+def scalar_i_bound(ell: int, x: float) -> float:
+    """`master_equation._i_bound` as the scalar function it was before it
+    took arrays, frozen here as the reference."""
+    ax = abs(x)
+    if ax == 0.0:
+        return 0.0
+    if ell <= ax + 1.0:
+        return ax  # |J_ell| <= 1
+    # |J_ell(t)| <= (t/2)^ell / ell! once ell clears the argument
+    if ax / 2.0 == 0.0:
+        return 0.0  # the bound underflows: |x| is the least subnormal
+    log_b = (ell + 1) * math.log(ax / 2.0) - math.lgamma(ell + 2) + math.log(2.0)
+    return math.exp(log_b)
+
+
 def test_i_bound_really_bounds():
     for ell in range(13):
         for x in (0.5, 2.0, 5.0):
-            assert abs(bessel_integral(ell, x)) <= _i_bound(ell, x) + 1e-15
+            assert abs(bessel_integral(ell, x)) <= scalar_i_bound(ell, x) + 1e-15
+
+
+def test_i_bound_is_the_scalar_bound_elementwise():
+    ell = np.arange(201)[:, None]
+    xs = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 2.0, -2.0, 40.0, -40.0, 1e3, -1e3])
+    got = _i_bound(ell, xs)
+    want = np.array([[scalar_i_bound(int(e), float(x)) for x in xs] for e in ell[:, 0]])
+    assert got.shape == want.shape == (201, xs.size)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    # the |x| branch up to order |x| + 1, and 0 at x = 0 and where |x|/2 underflows
+    exact = (ell <= np.abs(xs) + 1.0) | (np.abs(xs) / 2.0 == 0.0)
+    assert exact.sum() > 40 and np.array_equal(got[exact], want[exact])
+    assert np.array_equal(_i_bound(ell[:, 0], 0.0), np.zeros(201))
+    assert _i_bound(2, -1.5) == 1.5 and _i_bound(80, 5e-324) == 0.0
 
 
 def test_bessel_identity_report():
@@ -282,7 +312,9 @@ def family_coefficient(sign, term, sigma, z: float) -> float:
     |x| + 2 and bounds below 1e-13 / 4, as the families were cut off."""
     x = z * sigma
     count = next(
-        k for k in range(1, 302) if term(k)[1] > abs(x) + 2.0 and 4.0 * _i_bound(term(k)[1], x) < 1e-13
+        k
+        for k in range(1, 302)
+        if term(k)[1] > abs(x) + 2.0 and 4.0 * scalar_i_bound(term(k)[1], x) < 1e-13
     )
     terms = [term(k) for k in range(count)]
     table = _bessel_integrals(terms[-1][1], x)
@@ -353,10 +385,10 @@ def test_field_matrix_sums_the_z_part_first(n):
 
 
 def brute_force_kept(n, x, cut_off):
-    # the least l, scanned from 0, past |x| + 2 with 4 _i_bound(l, x) below the
+    # the least l, scanned from 0, past |x| + 2 with 4 scalar_i_bound(l, x) below the
     # cut-off, and never fewer than one fold period of orders
     period = n if n % 2 == 0 else 2 * n
-    least = next(l for l in range(5000) if l > abs(x) + 2.0 and 4.0 * _i_bound(l, x) < cut_off)
+    least = next(l for l in range(5000) if l > abs(x) + 2.0 and 4.0 * scalar_i_bound(l, x) < cut_off)
     return max(least, period)
 
 
@@ -383,15 +415,15 @@ def test_coefficient_truncation_matches_brute_force(monkeypatch):
 
 
 def scalar_kept_orders(n, x):
-    """`chiral._kept_orders` as a scalar loop of `_i_bound` calls over the
-    unique |x|, as it was written before the order table, frozen here."""
+    """`chiral._kept_orders` as a scalar loop of `scalar_i_bound` calls over
+    the unique |x|, as it was written before the order table, frozen here."""
     period = n if n % 2 == 0 else 2 * n
     limit = 301 * period
     ax, back = np.unique(np.abs(x), return_inverse=True)
     kept = np.empty(ax.size, dtype=np.int64)
     for i, a in enumerate(ax.tolist()):
         ell = math.floor(a + 2.0) + 1
-        while ell <= limit and not 4.0 * _i_bound(ell, a) < chiral._CUT_OFF:
+        while ell <= limit and not 4.0 * scalar_i_bound(ell, a) < chiral._CUT_OFF:
             ell += 1
         if ell > limit:
             raise ValueError(f"no Bessel cut-off below order {limit} at x = {a!r}")
@@ -426,6 +458,21 @@ def test_kept_orders_equal_the_scalar_loop(monkeypatch, n):
     for cut_off in (1e-3, 1e-8):
         monkeypatch.setattr(chiral, "_CUT_OFF", cut_off)
         assert np.array_equal(chiral._kept_orders(n, x), scalar_kept_orders(n, x))
+
+
+def test_kept_orders_far_above_the_period():
+    # at n = 1024 the bisection starts far below the period, and L(x) passes
+    # it from |x| = 735 on; past |x| ~ 2300 the scalar loop's math.exp overflows
+    x = np.linspace(0.0, 2000.0, 41)
+    assert np.array_equal(chiral._kept_orders(1024, x), scalar_kept_orders(1024, x))
+
+
+def test_kept_orders_bisect_with_few_lgamma_calls(monkeypatch):
+    # an order table up to 301 P would make 308 226 calls here
+    calls, lgamma = [], math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+    assert chiral._kept_orders(1024, np.array([0.5])).tolist() == [1024]
+    assert 0 < len(calls) < 200, len(calls)
 
 
 def test_coefficient_that_never_converges_raises(monkeypatch):
@@ -709,6 +756,65 @@ def test_window_strip_is_bit_identical_to_the_w_slabs(n):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and np.array_equal(a, b), (n, grid.steps, halo)
+
+
+def flat_row_z_windows(model, z):
+    """`ChiralModel._z_windows` as it was before the fold's closed form, with
+    the window rows `projection._bin` then kept inlined: flat (node, mode,
+    coefficient) rows of the modes (+-1, +-l), l below each node's cut-off,
+    and pi/4 on (+-1, +-1), each coefficient times its fold sign added with
+    np.add.at at its mode's window slot, frozen here as the reference."""
+    n, rows = model.n, np.asarray(model.rows)
+    z = np.asarray(z, dtype=np.float64)
+    kept = chiral._kept_orders(n, z.ravel() * model.sigma)
+    row = _expansion_row(matched_hbar(n), z.ravel(), int(kept.max(initial=2)) - 1)
+    node, ell = np.nonzero(np.arange(row.shape[1]) < kept[:, None])
+    coeff, pos, every = row[node, ell], ell > 0, np.arange(z.size)
+    # rows (1, l), (1, -l) with one coefficient and pi/4 on (1, 1), then
+    # their mirrors (-1, -m2) with the conjugates
+    node = np.concatenate([node, node[pos], every])
+    m2 = np.concatenate([ell, -ell[pos], np.ones_like(every)])
+    coeff = np.concatenate([coeff, coeff[pos], np.full(z.size, np.pi / 4.0)])
+    modes = np.stack([np.repeat([1, -1], m2.size), np.concatenate([m2, -m2])], axis=1)
+    coeffs = np.concatenate([coeff, coeff.conj()])
+    slot = np.full(n, -1)
+    slot[rows] = np.arange(rows.size)
+    (mu1, mu2), sign = fold_mode(n, modes[:, 0], modes[:, 1])
+    assert (slot[mu1] >= 0).all()
+    window = np.zeros((z.size, rows.size, n), dtype=np.complex128)
+    np.add.at(window, (np.tile(node, 2), slot[mu1], mu2), sign * coeffs)
+    window[:, slot[0], 0] = 0.0
+    return window.reshape(z.shape + window.shape[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 256])
+def test_z_windows_are_bit_identical_to_the_flat_rows(n):
+    model = chiral_model(n)
+    axes = [grid.axis("z") for grid in verify_chiral_grids()]
+    axes += [
+        np.array([-1.5, -0.0, 0.0, 5e-324, -5e-324, -2.0, 0.75]),
+        np.linspace(-2.0, 2.0, 12).reshape(3, 4),
+        np.array([]),
+        np.zeros((2, 0)),
+    ]
+    for z in axes:
+        got, want = model._z_windows(z), flat_row_z_windows(model, z)
+        assert got.shape == want.shape == z.shape + (len(model.rows), n)
+        assert got.tobytes() == want.tobytes(), (n, z)
+
+
+def test_z_windows_peak_near_their_size():
+    # n = 256 on verify-chiral's 129 z nodes: the flat rows peaked at ~10x
+    model = chiral_model(256)
+    z = np.linspace(0.0, 2.0, 129)
+    model._z_windows(z)
+    tracemalloc.start()
+    try:
+        window = model._z_windows(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * window.nbytes, (peak, window.nbytes)
 
 
 @pytest.mark.parametrize("name, halo", [("_residual_kernel", 1), ("_system_kernel", 2)])

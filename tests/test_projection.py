@@ -159,16 +159,13 @@ def test_gridded_fold_equals_per_node_fold():
     assert np.max(np.abs(mf.values[0, 1])) == 0.0
 
 
-def test_bin_keeps_the_window_rows_asked_for():
+def test_window_matrices_take_the_window_rows_asked_for():
     from startorus.projection import _bin, _window_matrices
 
     modes = np.array([[1, 2], [-1, 3], [0, 1], [5, 5]])
     coeffs = np.array([1.0, 2.0j, -0.5, 3.0])
     full = _bin(np.zeros(4, dtype=np.int64), modes, coeffs, 1, 5)
-    rows = (0, 1, 4)
-    part = _bin(np.zeros(4, dtype=np.int64), modes, coeffs, 1, 5, rows)
-    assert np.array_equal(part, full[:, rows])
     assert full[0, 0, 0] == 0.0  # (5, 5) folds onto (0, 0), which is dropped
-    assert np.array_equal(_window_matrices(part, 5, rows), _window_matrices(full, 5))
-    with pytest.raises(ValueError, match="outside"):
-        _bin(np.zeros(1, dtype=np.int64), np.array([[2, 0]]), np.array([1.0]), 1, 5, rows)
+    rows = (0, 1, 4)
+    assert not full[:, [2, 3]].any()  # every mode sits on the rows kept
+    assert np.array_equal(_window_matrices(full[:, rows], 5, rows), _window_matrices(full, 5))
