@@ -30,14 +30,16 @@ operands that nearly fill their bands.  A bracket is one pass of either
 route, with its operands in a fixed order (`_antisymmetrized`), so it is
 exactly antisymmetric.  Modes are bounded, |m1|, |m2| <= 2**30.
 
-The FFT route's row kernel, `_fft_rows`, works on dense coefficient windows
-(..., 2R+1, 2R+1) with any leading batch axes, so the gridded residuals of
-`master_equation` take every node's bracket in one pass, weighted by
-`_bracket_weight` in the equation's operand order (a residual norm needs no
-exact antisymmetry).  It transforms only the m1 rows occupied in some window
-of each operand and returns only the occupied output rows.  Its row-FFT blocks
-and their temporaries hold at most _FFT_BATCH complex entries counted over
-the batch axes (16 MB).
+The FFT route's row kernel, `_fft_rows`, works on dense coefficient row
+slabs (..., k, 2R+1), each with the m1 of its first row, or on full windows
+(..., 2R+1, 2R+1), with any leading batch axes.  The gridded residuals of
+`master_equation` run their stencils on the field's occupied m1 rows and
+hand it each operand trimmed to its own occupied rows (`_trimmed`), taking
+every node's bracket in one pass, weighted by `_bracket_weight` in the
+equation's operand order (a residual norm needs no exact antisymmetry).  It
+transforms only those rows and returns only the occupied output rows.  Its
+row-FFT blocks and their temporaries hold at most _FFT_BATCH complex entries
+counted over the batch axes (16 MB).
 """
 
 from __future__ import annotations
@@ -375,28 +377,38 @@ def _sparse_pairwise(f: FourierField, g: FourierField, closed, prune: float) -> 
 def _occupied_rows(windows: np.ndarray) -> slice:
     """Smallest range of m1 rows (second-to-last axis) holding every nonzero
     entry of the windows, over all leading axes; empty if there is none."""
-    rows = np.flatnonzero(windows.reshape((-1,) + windows.shape[-2:]).any(axis=0).any(axis=1))
+    flat = windows.reshape((math.prod(windows.shape[:-2]),) + windows.shape[-2:])
+    rows = np.flatnonzero(flat.any(axis=0).any(axis=1))
     return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
 
 
-def _fft_rows(fw: np.ndarray, gw: np.ndarray, split, fr: slice = None, gr: slice = None):
+def _trimmed(slab: np.ndarray, first: int):
+    """(slab on its occupied rows, the m1 of the first of them) for a row
+    slab (..., k, 2R+1) whose row i holds m1 = first + i (`_occupied_rows`)."""
+    rows = _occupied_rows(slab)
+    return slab[..., rows, :], first + rows.start
+
+
+def _fft_rows(fw: np.ndarray, gw: np.ndarray, split, f1: int = None, g1: int = None):
     """Row kernel of the FFT route: sum_{m,n} w(m x n) f_m g_n on modes m + n
-    for every window pair at once, in the mixed representation (rows over m1,
+    for every slab pair at once, in the mixed representation (rows over m1,
     transform over m2).
 
-    fw (..., 2Rf+1, 2Rf+1) and gw (..., 2Rg+1, 2Rg+1) hold c_m at
-    [..., R+m1, R+m2] and share their leading batch axes.  For
-    w = sum u(m1 n2) v(m2 n1), a row pair (m1, n1) adds to output row m1 + n1
-    the convolution along the second mode axis of f[m1, .] v(. n1) with
-    g[n1, .] u(m1 .).  Each is a product of two zero-padded FFTs of a
+    fw (..., kf, 2Rf+1) and gw (..., kg, 2Rg+1) are row slabs that share
+    their leading batch axes: fw[..., i, Rf + m2] holds c_m on m1 = f1 + i,
+    and likewise gw from g1.  Every row of a slab is transformed, so callers
+    pass each operand trimmed to the rows occupied in some slab of it
+    (`_trimmed`, or rows read off a field's modes).  Without f1 (g1) the
+    operand is a full centred window, rows m1 = -Rf..Rf, and is trimmed here.
+    For w = sum u(m1 n2) v(m2 n1), a row pair (m1, n1) adds to output row
+    m1 + n1 the convolution along the second mode axis of f[m1, .] v(. n1)
+    with g[n1, .] u(m1 .).  Each is a product of two zero-padded FFTs of a
     2*3*5-smooth length >= 2(Rf + Rg) + 1; products are summed per output row
-    and inverted once per row, O(Rf Rg (Rf + Rg) log) per window pair.  Only
-    the m1 rows occupied in some window of each operand are transformed: the
-    window rows fr and gr when given, else those `_occupied_rows` finds.  The
-    row blocks and their temporaries hold at most _FFT_BATCH entries counted
-    over the batch axes, or one row pair of one window pair; a batch too
-    large for one block is split, which leaves each window pair's
-    arithmetic, and so its result, unchanged.
+    and inverted once per row, O(Rf Rg (Rf + Rg) log) per slab pair.  The row
+    blocks and their temporaries hold at most _FFT_BATCH entries counted over
+    the batch axes, or one row pair of one slab pair; a batch too large for
+    one block is split, which leaves each slab pair's arithmetic, and so its
+    result, unchanged.
 
     Returns (first, out): out[..., k, c] is the coefficient on mode
     (first + k, c - Rf - Rg), over the occupied output rows only.
@@ -404,20 +416,21 @@ def _fft_rows(fw: np.ndarray, gw: np.ndarray, split, fr: slice = None, gr: slice
     rf, rg = (fw.shape[-1] - 1) // 2, (gw.shape[-1] - 1) // 2
     batch = fw.shape[:-2]
     side = 2 * (rf + rg) + 1
-    fr = _occupied_rows(fw) if fr is None else fr
-    gr = _occupied_rows(gw) if gr is None else gr
-    first = fr.start + gr.start - rf - rg
-    nf, ng = fr.stop - fr.start, gr.stop - gr.start
+    if f1 is None:
+        fw, f1 = _trimmed(fw, -rf)
+    if g1 is None:
+        gw, g1 = _trimmed(gw, -rg)
+    nf, ng = fw.shape[-2], gw.shape[-2]
     if nf == 0 or ng == 0:
-        return first, np.zeros(batch + (0, side), dtype=np.complex128)
-    fw = fw.reshape((-1,) + fw.shape[-2:])[:, fr]
-    gw = gw.reshape((-1,) + gw.shape[-2:])[:, gr]
-    m1, n1 = np.arange(fr.start - rf, fr.stop - rf), np.arange(gr.start - rg, gr.stop - rg)
+        return f1 + g1, np.zeros(batch + (0, side), dtype=np.complex128)
+    fw = fw.reshape((-1,) + fw.shape[-2:])
+    gw = gw.reshape((-1,) + gw.shape[-2:])
+    m1, n1 = np.arange(f1, f1 + nf), np.arange(g1, g1 + ng)
     m2, n2 = np.arange(-rf, rf + 1), np.arange(-rg, rg + 1)
     length = _fft_length(side)
     cols = min(ng, max(1, _FFT_BATCH // length))  # g rows per block
     rows = max(1, _FFT_BATCH // (cols * length))  # f rows per block
-    nodes = max(1, _FFT_BATCH // (min(rows, nf) * cols * length))  # windows per block
+    nodes = max(1, _FFT_BATCH // (min(rows, nf) * cols * length))  # slabs per block
     acc = np.zeros((len(fw), nf + ng - 1, length), dtype=np.complex128)
     for u, v in split:
         fv = v(np.multiply.outer(n1, m2))  # [n1, m2]
@@ -432,19 +445,22 @@ def _fft_rows(fw: np.ndarray, gw: np.ndarray, split, fr: slice = None, gr: slice
                     part *= np.fft.fft(gw[at, None, gj] * gu[fi, None], length)
                     for k in range(part.shape[1]):
                         out[:, i + j + k : i + j + k + part.shape[2]] += part[:, k]
-    return first, np.fft.ifft(acc)[..., :side].reshape(batch + (nf + ng - 1, side))
+    return f1 + g1, np.fft.ifft(acc)[..., :side].reshape(batch + (nf + ng - 1, side))
 
 
-def _mode_rows(f: FourierField, band_limit: int) -> slice:
-    """Window rows of f's first to last m1, read off its sorted, nonzero modes."""
-    return slice(int(f.modes[0, 0]) + band_limit, int(f.modes[-1, 0]) + band_limit + 1)
+def _mode_slab(f: FourierField, band_limit: int):
+    """(slab, first): f's window rows from its first to its last m1, read off
+    its sorted, nonzero modes, and that first m1."""
+    first = int(f.modes[0, 0])
+    return f.window(band_limit)[first + band_limit : int(f.modes[-1, 0]) + band_limit + 1], first
 
 
 def _fft_pairwise(f: FourierField, g: FourierField, split, prune: float) -> FourierField:
-    """FFT route: `_fft_rows` on the two windows of nonempty f and g, with no
-    batch axes; the occupied rows come from the modes, not a window scan."""
+    """FFT route: `_fft_rows` on the row slabs of nonempty f and g, with no
+    batch axes; their occupied rows come from the modes, not a scan."""
     rf, rg = f.band_limit, g.band_limit
-    first, out = _fft_rows(f.window(rf), g.window(rg), split, _mode_rows(f, rf), _mode_rows(g, rg))
+    (fw, f1), (gw, g1) = _mode_slab(f, rf), _mode_slab(g, rg)
+    first, out = _fft_rows(fw, gw, split, f1, g1)
     modes = np.indices(out.shape).reshape(2, -1).T + (first, -rf - rg)
     return FourierField(modes, out.ravel(), prune)
 

@@ -140,20 +140,25 @@ class GriddedFourierField:
     ) -> "GriddedFourierField":
         """Project evaluator(point, P, Q) onto modes at every grid node.
 
-        The nodes go in batches of B, at most _SAMPLE_BATCH // P.size (and at
-        least 1), with one evaluator call each.  point is a tuple of the
-        batch's node coordinates, one array of shape (B, 1, 1) per axis, and
-        the result must broadcast against the torus meshgrids P, Q to
-        (B,) + P.shape; a result of shape P.shape, or a scalar, holds for
-        every node of the batch.  |c| <= DEFAULT_PRUNE is zeroed, as in
-        `fft_project`.
+        P is the column (n, 1) of torus angles p_j = 2 pi j / n, n = torus_n,
+        and Q the row (1, n) of the same angles q_k: the torus grid as two
+        broadcasting axes, not meshgrids, so a term in q alone is computed
+        once per q.  The nodes go in batches of B, at most
+        _SAMPLE_BATCH // n^2 (and at least 1), with one evaluator call each.
+        point is a tuple of the batch's node coordinates, one array of shape
+        (B, 1, 1) per axis, and the result must broadcast to the batch's
+        samples (B, n, n); a result of shape (n, n), (n, 1) or (1, n), or a
+        scalar, holds for every node of the batch.  |c| <= DEFAULT_PRUNE is
+        zeroed, as in `fft_project`.  The windows are full (2R+1, 2R+1);
+        the gridded residuals then work on their occupied m1 rows only.
         """
         if band_limit < 0:
             raise ValueError(f"band_limit must be >= 0, got {band_limit}")
-        P, Q = torus_nodes(torus_n)
+        t = 2.0 * np.pi * np.arange(torus_n) / torus_n  # the angles of `torus_nodes`
+        P, Q = t[:, None], t[None, :]
         count = math.prod(grid.shape)
-        batch = min(count, max(1, _SAMPLE_BATCH // P.size))
-        samples = np.empty((batch,) + P.shape, dtype=np.complex128)
+        batch = min(count, max(1, _SAMPLE_BATCH // (torus_n * torus_n)))
+        samples = np.empty((batch, torus_n, torus_n), dtype=np.complex128)
         side = 2 * band_limit + 1
         values = np.empty((count, side, side), dtype=np.complex128)
         for start in range(0, count, batch):

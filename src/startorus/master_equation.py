@@ -44,7 +44,7 @@ from .fourier import (
     _antisymmetrized,
     _bracket_weight,
     _fft_rows,
-    _occupied_rows,
+    _trimmed,
     fft_project,
 )
 from .grids import GriddedFourierField, SpacetimeGrid, torus_nodes
@@ -179,7 +179,11 @@ def _expansion_row(hbar, z, band_limit: int) -> np.ndarray:
     half = (ell + 1) // 2
     sign = np.where(ell % 2 == 1, (-1.0) ** half, (-1.0) ** (half + 1))
     amp = (sign / s[..., None]) * np.moveaxis(_bessel_integrals(band_limit, z * s), 0, -1)
-    return np.where(ell % 2 == 1, 0.5 * amp, -0.5j * amp)
+    # odd columns 0.5 amp, even ones -0.5i amp, written into one complex array
+    row = np.zeros(amp.shape, dtype=np.complex128)
+    np.multiply(amp[..., 1::2], 0.5, out=row.real[..., 1::2])
+    np.multiply(amp[..., ::2], -0.5, out=row.imag[..., ::2])
+    return row
 
 
 class ClosedFormSolution:
@@ -238,10 +242,12 @@ class ClosedFormSolution:
 
     def gridded(self, grid: SpacetimeGrid, band_limit: int) -> GriddedFourierField:
         """`windows` at every (w, z) node, with no torus sampling;
-        |c| <= DEFAULT_PRUNE is zeroed, as in `GriddedFourierField.sample`."""
+        |c| <= DEFAULT_PRUNE is zeroed, as in `GriddedFourierField.sample`, on
+        the rows m1 = -1, 0, 1 that `windows` writes (the rest are 0)."""
         checked_grid(grid, ("w", "z"), nodes=2)
         values = self.windows(grid.axis("w")[:, None], grid.axis("z")[None, :], band_limit)
-        values[np.abs(values) <= DEFAULT_PRUNE] = 0.0
+        written = values[..., band_limit - 1 : band_limit + 2, :]
+        written[np.abs(written) <= DEFAULT_PRUNE] = 0.0
         return GriddedFourierField(grid, values, self.hbar)
 
 
@@ -436,28 +442,30 @@ def _report(per_point: np.ndarray, steps: dict, hbar: float, label: str) -> Resi
     )
 
 
-def _bracket_residual(field, label, linear, left, right, weight=1.0) -> ResidualReport:
+def _bracket_residual(field, label, first, linear, left, right, weight=1.0) -> ResidualReport:
     """Per-node l2 norm of linear + weight {left, right}_hbar, all three band-R
-    mode tensors on the interior nodes and weight a scalar or per node.
+    mode tensors on the interior nodes held as row slabs (..., k, 2R+1) whose
+    row i is m1 = first + i, and weight a scalar or per node.
 
     Every node's bracket is one pass P(left, right) of the FFT route's row
-    kernel `fourier._fft_rows`, weighted by `fourier._bracket_weight`.  That
+    kernel `fourier._fft_rows`, weighted by `fourier._bracket_weight`, with
+    each operand trimmed to its own occupied rows (`fourier._trimmed`).  That
     weight is odd in m x n, so P(right, left) = -P(left, right) up to
     rounding; `moyal_bracket`'s exact antisymmetry, from a fixed operand
     order, is no use to a residual norm.  Only the m1 rows occupied by the
     bracket or the linear term are formed, so no node's band-2R window is built."""
     band = (linear.shape[-1] - 1) // 2
-    first, bracket = _fft_rows(left, right, _bracket_weight(field.hbar).split)
-    rows = _occupied_rows(linear)
-    lin = (rows.start - band, rows.stop - band)  # m1 range of the linear term
-    spans = [s for s in ((first, first + bracket.shape[-2]), lin) if s[0] < s[1]]
+    (fw, f1), (gw, g1) = _trimmed(left, first), _trimmed(right, first)
+    start, bracket = _fft_rows(fw, gw, _bracket_weight(field.hbar).split, f1, g1)
+    linear, lin = _trimmed(linear, first)  # lin: m1 of the linear term's first row
+    spans = [(a, a + k) for a, k in ((start, bracket.shape[-2]), (lin, linear.shape[-2])) if k]
     lo = min((s[0] for s in spans), default=0)
     hi = max((s[1] for s in spans), default=0)
     res = np.zeros(linear.shape[:-2] + (hi - lo, 4 * band + 1), dtype=np.complex128)
-    res[..., first - lo : first - lo + bracket.shape[-2], :] = (
+    res[..., start - lo : start - lo + bracket.shape[-2], :] = (
         np.asarray(weight)[..., None, None] * bracket
     )
-    res[..., lin[0] - lo : lin[1] - lo, band : 3 * band + 1] += linear[..., rows, :]
+    res[..., lin - lo : lin - lo + linear.shape[-2], band : 3 * band + 1] += linear
     per = np.sqrt(np.sum(np.abs(res) ** 2, axis=(-2, -1)))
     return _report(per, field.grid.steps, field.hbar, label)
 
@@ -467,13 +475,15 @@ def residual_moyal_hp(field: GriddedFourierField) -> ResidualReport:
 
     Second derivatives use the 3-point stencil, first derivatives the
     centered 2-point one; hbar = 0 falls back to the Poisson bracket.
-    Per-node magnitude is the mode-space l2 norm.
+    Per-node magnitude is the mode-space l2 norm.  The stencils and the
+    bracket run on the field's occupied m1 rows only (`fourier._trimmed`).
     """
     grid = checked_grid(field.grid, ("w", "z"))
-    v = field.values
+    v, first = _trimmed(field.values, -field.band_limit)
     return _bracket_residual(
         field,
         "moyal_hp",
+        first,
         grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z"),
         grid_diff(v, grid, "w"),
         grid_diff(v, grid, "z"),
@@ -483,13 +493,15 @@ def residual_moyal_hp(field: GriddedFourierField) -> ResidualReport:
 def residual_me_flat(field: GriddedFourierField) -> ResidualReport:
     """Residual of Theta_w wt + Theta_z zt + {Theta_w, Theta_z}_hbar.
 
-    The field lives on a 4-axis grid named ('w', 'z', 'wt', 'zt').
+    The field lives on a 4-axis grid named ('w', 'z', 'wt', 'zt').  The
+    stencils and the bracket run on its occupied m1 rows only.
     """
     grid = checked_grid(field.grid, ("w", "z", "wt", "zt"))
-    v = field.values
+    v, first = _trimmed(field.values, -field.band_limit)
     return _bracket_residual(
         field,
         "me_flat",
+        first,
         grid_cross_diff(v, grid, "w", "wt") + grid_cross_diff(v, grid, "z", "zt"),
         grid_diff(v, grid, "w"),
         grid_diff(v, grid, "z"),
@@ -550,9 +562,11 @@ def residual_me_kahler(
     The field lives on axes ('y', 'yt', 'z', 'zt'); the background metric
     is read at (w, z, wt, zt) with w = (y + yt)/2 and wt = (y - yt)/2.
     A metric block with |det| below _DET_TOL aborts with the grid location.
+    The stencils, their metric weights and the bracket run on the field's
+    occupied m1 rows only.
     """
     grid = checked_grid(field.grid, ("y", "yt", "z", "zt"))
-    v = field.values
+    v, first = _trimmed(field.values, -field.band_limit)
     inner = tuple(s - 2 for s in grid.shape)
     metric = np.empty(inner + (2, 2))
     vol = np.empty(inner)
@@ -565,7 +579,7 @@ def residual_me_kahler(
             raise SingularMetricError(f"metric block degenerate (det={det!r})", location=w_pt)
         vol[idx] = background.volume(w_pt)
     ginv = np.moveaxis(np.linalg.inv(metric), (-2, -1), (0, 1))[..., None, None]
-    (g_wtw, g_wtz), (g_ztw, g_ztz) = ginv  # per node, broadcast over the mode window
+    (g_wtw, g_wtz), (g_ztw, g_ztz) = ginv  # per node, broadcast over the mode rows
 
     def cross(a, b):
         return grid_cross_diff(v, grid, a, b)
@@ -578,6 +592,7 @@ def residual_me_kahler(
     return _bracket_residual(
         field,
         "me_kahler",
+        first,
         linear,
         grid_diff(v, grid, "y") + grid_diff(v, grid, "yt"),
         grid_diff(v, grid, "z"),

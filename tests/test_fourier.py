@@ -514,6 +514,25 @@ def test_fft_rows_keeps_only_occupied_rows():
     assert out.shape == (2, 0, 15)
 
 
+def test_fft_rows_takes_slabs_from_their_first_row_and_pairwise_scans_nothing(monkeypatch):
+    # a slab of f's rows m1 = -2..1 given with its first m1 gives the full
+    # window's bits; _fft_pairwise reads its rows off the modes, with no scan
+    f = FourierField.from_dict({(-2, 4): 1.0 + 0.5j, (1, -3): -0.7, (0, 2): 0.3j})
+    g = FourierField.from_dict({(3, k): 0.1 * k + 1j for k in range(-3, 4)})
+    split = fourier._moyal_weight(0.5).split
+    first, want = fourier._fft_rows(f.window(4), g.window(3), split)
+    (fw, f1), (gw, g1) = fourier._mode_slab(f, 4), fourier._mode_slab(g, 3)
+    assert (f1, fw.shape, g1, gw.shape) == (-2, (4, 9), 3, (1, 7))
+    got = fourier._fft_rows(fw, gw, split, f1, g1)
+    assert got[0] == first and got[1].tobytes() == want.tobytes()
+    scans = []
+    rows = fourier._occupied_rows
+    monkeypatch.setattr(fourier, "_occupied_rows", lambda w: scans.append(1) or rows(w))
+    pair = fourier._fft_pairwise(f, g, split, 0.0)
+    assert scans == []
+    assert np.array_equal(pair.window(7)[7 + first : 7 + first + len(want)], want)
+
+
 def test_fft_length_is_smooth():
     assert [fourier._fft_length(n) for n in (1, 7, 13, 51, 97, 129)] == [1, 8, 15, 54, 100, 135]
 

@@ -186,6 +186,36 @@ def test_sample_broadcasts_an_evaluator_that_ignores_the_coordinates(batch, monk
         assert np.array_equal(wave.values[index], fft_project(np.cos(P + Q), 3).window(3))
 
 
+@pytest.mark.parametrize("batch", [None, 5 * 12 * 12])
+def test_sample_passes_sparse_nodes_and_matches_full_meshgrids(batch, monkeypatch):
+    # P is a column and Q a row; a broadcasting evaluator handed them gets the
+    # same windows, to the bit, as one handed the full meshgrids
+    if batch is not None:
+        monkeypatch.setattr(grids, "_SAMPLE_BATCH", batch)
+    grid = SpacetimeGrid({"a": [0.1, 0.3, 0.5], "b": [-1.0, 0.0, 1.0, 2.0]})
+    seen = []
+
+    def evaluator(point, P, Q):
+        a, b = point
+        c = 0.5 * a * np.cos(Q) * b
+        return 0.5 * np.pi * np.cos(P + Q) - a * np.sin(Q) - b * np.sin(c + P) * np.sinc(c / np.pi)
+
+    def sparse(point, P, Q):
+        seen.append((P, Q))
+        return evaluator(point, P, Q)
+
+    def full(point, P, Q):
+        return evaluator(point, *np.broadcast_arrays(P, Q))
+
+    got = GriddedFourierField.sample(grid, sparse, 5, 0.3, torus_n=12)
+    want = GriddedFourierField.sample(grid, full, 5, 0.3, torus_n=12)
+    assert got.values.tobytes() == want.values.tobytes()
+    mesh = torus_nodes(12)
+    for P, Q in seen:
+        assert P.shape == (12, 1) and Q.shape == (1, 12)
+        assert all(np.array_equal(x, y) for x, y in zip(np.broadcast_arrays(P, Q), mesh))
+
+
 def test_sample_rejects_a_result_that_does_not_broadcast_and_a_negative_band():
     grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
     both = re.escape("shape (3, 4)") + ".*" + re.escape("(12, 16, 16)")

@@ -26,7 +26,8 @@ from startorus import (
     richardson_order,
     torus_nodes,
 )
-from startorus.numerics import grid_diff2
+from startorus.master_equation import _bessel_integrals, _expansion_row
+from startorus.numerics import grid_cross_diff, grid_diff, grid_diff2
 
 
 def conv(a: dict, b: dict) -> dict:
@@ -214,6 +215,35 @@ def test_windows_broadcast_and_match_the_pointwise_expansion(hbar):
     windows = sol.windows(w.reshape(3, 1), z.reshape(1, 20), 9)
     windows[np.abs(windows) <= DEFAULT_PRUNE] = 0.0
     assert np.array_equal(sol.gridded(grid, 9).values, windows)
+
+
+def where_expansion_row(hbar, z, band_limit):
+    """`_expansion_row` as it picked its columns with np.where from two
+    complex temporaries, frozen as the reference."""
+    s = np.vectorize(freq_factor, otypes=[float])(hbar)
+    s, z = np.broadcast_arrays(s, np.asarray(z, dtype=np.float64))
+    ell = np.arange(band_limit + 1)
+    half = (ell + 1) // 2
+    sign = np.where(ell % 2 == 1, (-1.0) ** half, (-1.0) ** (half + 1))
+    amp = (sign / s[..., None]) * np.moveaxis(_bessel_integrals(band_limit, z * s), 0, -1)
+    return np.where(ell % 2 == 1, 0.5 * amp, -0.5j * amp)
+
+
+def test_expansion_row_is_byte_identical_to_the_where_form():
+    # +-0.0 and +-5e-324 give rows of signed zeros, the bytes of which count
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+    rng = np.random.default_rng(17)
+    cases = [
+        (0.0, np.array(tiny + [0.5, -3.0, 40.0]), 30),
+        (np.array([0.0, 1e-3, 2 * np.pi / 8])[:, None], 10 * rng.normal(size=(1, 40)), 60),
+        (2 * np.pi / 255, np.linspace(0.0, 2.0, 129), 509),
+        (0.5, 0.3, 1),
+        (1.0, np.zeros(0), 5),
+    ]
+    for hbar, z, band in cases:
+        got, want = _expansion_row(hbar, z, band), where_expansion_row(hbar, z, band)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gridded_requires_wz_axes():
@@ -797,3 +827,238 @@ def test_doubled_axis_guards():
         residual_me_flat(f_kahler)
     with pytest.raises(ValueError):
         residual_me_kahler(f_flat, KahlerBackground.flat())
+
+
+# ---------------------------------------------------------------------------
+# residuals on the occupied mode rows, against the full-window stencils
+
+def full_window_bracket_residual(field, linear, left, right, weight=1.0):
+    """Per-node norms as `_bracket_residual` took them on whole (2R+1, 2R+1)
+    windows, before the residuals ran on row slabs, frozen as the reference."""
+    from startorus import fourier
+
+    band = (linear.shape[-1] - 1) // 2
+    first, bracket = fourier._fft_rows(left, right, fourier._bracket_weight(field.hbar).split)
+    rows = fourier._occupied_rows(linear)
+    lin = (rows.start - band, rows.stop - band)
+    spans = [s for s in ((first, first + bracket.shape[-2]), lin) if s[0] < s[1]]
+    lo = min((s[0] for s in spans), default=0)
+    hi = max((s[1] for s in spans), default=0)
+    res = np.zeros(linear.shape[:-2] + (hi - lo, 4 * band + 1), dtype=np.complex128)
+    res[..., first - lo : first - lo + bracket.shape[-2], :] = (
+        np.asarray(weight)[..., None, None] * bracket
+    )
+    res[..., lin[0] - lo : lin[1] - lo, band : 3 * band + 1] += linear[..., rows, :]
+    return np.sqrt(np.sum(np.abs(res) ** 2, axis=(-2, -1)))
+
+
+def full_window_moyal_hp(field):
+    grid, v = field.grid, field.values
+    return full_window_bracket_residual(
+        field,
+        grid_diff2(v, grid, "w") + grid_diff2(v, grid, "z"),
+        grid_diff(v, grid, "w"),
+        grid_diff(v, grid, "z"),
+    )
+
+
+def full_window_me_flat(field):
+    grid, v = field.grid, field.values
+    return full_window_bracket_residual(
+        field,
+        grid_cross_diff(v, grid, "w", "wt") + grid_cross_diff(v, grid, "z", "zt"),
+        grid_diff(v, grid, "w"),
+        grid_diff(v, grid, "z"),
+    )
+
+
+def full_window_me_kahler(field, background):
+    grid, v = field.grid, field.values
+    inner = tuple(s - 2 for s in grid.shape)
+    metric, vol = np.empty(inner + (2, 2)), np.empty(inner)
+    for idx in np.ndindex(inner):
+        y, yt, z, zt = grid.point(tuple(a + 1 for a in idx))
+        w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
+        metric[idx] = background.metric(w_pt)
+        vol[idx] = background.volume(w_pt)
+    ginv = np.moveaxis(np.linalg.inv(metric), (-2, -1), (0, 1))[..., None, None]
+    (g_wtw, g_wtz), (g_ztw, g_ztz) = ginv
+
+    def cross(a, b):
+        return grid_cross_diff(v, grid, a, b)
+
+    linear = (grid_diff2(v, grid, "y") - grid_diff2(v, grid, "yt")) + (1.0 / g_wtw) * (
+        g_ztz * cross("z", "zt")
+        + g_ztw * (cross("y", "zt") + cross("yt", "zt"))
+        + g_wtz * (cross("y", "z") - cross("yt", "z"))
+    )
+    return full_window_bracket_residual(
+        field,
+        linear,
+        grid_diff(v, grid, "y") + grid_diff(v, grid, "yt"),
+        grid_diff(v, grid, "z"),
+        1.0 / (vol * g_wtw[..., 0, 0]),
+    )
+
+
+def assert_slabs_match_full_windows(field, background=None):
+    if background is not None:
+        got, want = residual_me_kahler(field, background), full_window_me_kahler(field, background)
+    elif field.grid.names == ("w", "z"):
+        got, want = residual_moyal_hp(field), full_window_moyal_hp(field)
+    else:
+        got, want = residual_me_flat(field), full_window_me_flat(field)
+    assert got.per_point.shape == want.shape
+    assert got.per_point.tobytes() == want.tobytes()
+    return got.per_point
+
+
+def occupied_m1(field):
+    """The first and last m1 occupied at some node of the field."""
+    from startorus import fourier
+
+    rows = fourier._occupied_rows(field.values)
+    return rows.start - field.band_limit, rows.stop - 1 - field.band_limit
+
+
+def verify_me_field(hbar, h, band=24):
+    """The grid and field `verify-me` takes its residual on."""
+    z = SpacetimeGrid.regular({"z": (0.1, 0.9)}, h).axis("z")
+    grid = SpacetimeGrid({"w": np.linspace(-0.3, 0.3, 3), "z": z})
+    return example_solution(hbar).gridded(grid, band)
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1e-3, 2 * np.pi / 8])
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_verify_me_residual_is_bit_identical_to_the_full_windows(hbar, h):
+    field = verify_me_field(hbar, h)
+    assert occupied_m1(field) == (-1, 1)
+    assert assert_slabs_match_full_windows(field).max() > 0
+
+
+# the doubled_me section's grids and inputs, per benchmark workload, at one
+# fixed placement (w0, z0)
+DOUBLED_SIZES = {
+    "cli-studies": {"band": 8, "torus_n": 20, "n": 8},
+    "lib-algebra": {"band": 10, "torus_n": 24, "n": 12},
+}
+
+
+def doubled_grids(w0=0.07, z0=0.21, hz=0.05):
+    flat = [
+        SpacetimeGrid(
+            {
+                "w": w0 + np.linspace(-0.1, 0.1, 3),
+                "z": z0 + np.arange(0.0, 0.2001, step),
+                "wt": np.linspace(-0.1, 0.1, 3),
+                "zt": 0.1 + np.arange(0.0, 0.2001, step),
+            }
+        )
+        for step in (hz, hz / 2.0)
+    ]
+    kahler = SpacetimeGrid(
+        {
+            "y": w0 + np.linspace(-0.1, 0.1, 3),
+            "yt": np.linspace(-0.1, 0.1, 3),
+            "z": z0 + np.linspace(0.0, 0.2, 5),
+            "zt": np.linspace(0.1, 0.3, 5),
+        }
+    )
+    return flat, kahler
+
+
+def doubled_potential(pt, eps=0.3):
+    w, z, wt, zt = pt
+    return w * wt + z * zt + eps * (w * wt) ** 2 + eps * w * z * wt * zt
+
+
+@pytest.mark.parametrize("workload", sorted(DOUBLED_SIZES))
+def test_doubled_residuals_are_bit_identical_to_the_full_windows(workload):
+    size = DOUBLED_SIZES[workload]
+    hbar = 2 * np.pi / size["n"]
+    sol = example_solution(hbar)
+    flat_grids, kahler_grid = doubled_grids()
+    for grid in flat_grids:
+        field = GriddedFourierField.sample(
+            grid,
+            lambda pt, P, Q: sol.evaluate(pt[0] + pt[2], pt[1] + pt[3], P, Q),
+            size["band"],
+            hbar,
+            torus_n=size["torus_n"],
+        )
+        assert occupied_m1(field) == (-1, 1)
+        assert_slabs_match_full_windows(field)
+    field = GriddedFourierField.sample(
+        kahler_grid,
+        lambda pt, P, Q: sol.evaluate(pt[0], pt[2] + pt[3], P, Q),
+        size["band"],
+        hbar,
+        torus_n=size["torus_n"],
+    )
+    assert occupied_m1(field) == (-1, 1)
+    assert_slabs_match_full_windows(field, KahlerBackground(potential=doubled_potential))
+
+
+@pytest.mark.parametrize("fine", [False, True])
+def test_non_solution_residual_is_bit_identical_to_the_full_windows(fine):
+    hbar = 2 * np.pi / 5
+    sol = example_solution(hbar)
+
+    def vals(point, P, Q):
+        w, z = point
+        return sol.evaluate(w, z, P, Q) + 0.1 * z**2 * np.sin(P)
+
+    grid = hp_grids(0.1)[fine]
+    field = GriddedFourierField.sample(grid, vals, band_limit=24, hbar=hbar, torus_n=64)
+    assert assert_slabs_match_full_windows(field).min() > 0.05
+
+
+def test_zero_fields_have_zero_residuals_on_empty_slabs():
+    hp = GriddedFourierField(hp_grids(0.1)[0], np.zeros((3, 5, 9, 9)), 0.5)
+    flat_grid, kahler_grid = matched_pair()
+    flat = GriddedFourierField(flat_grid, np.zeros((3,) * 4 + (5, 5)), 0.5)
+    kahler = GriddedFourierField(kahler_grid, np.zeros((3,) * 4 + (5, 5)), 0.0)
+    for field, background in ((hp, None), (flat, None), (kahler, KahlerBackground.flat())):
+        per = assert_slabs_match_full_windows(field, background)
+        assert not per.any()
+
+
+@pytest.mark.parametrize("hbar", [0.0, 0.7])
+def test_residuals_on_a_slab_with_empty_rows_inside(hbar):
+    # rows m1 = -1 and +5 of a band-6 window: the slab from -1 to 5 holds
+    # five empty rows, and each operand is trimmed to its own rows
+    rng = np.random.default_rng(83)
+    band = 6
+
+    def two_rows(shape):
+        values = np.zeros(shape + (2 * band + 1, 2 * band + 1), dtype=np.complex128)
+        for m1 in (-1, 5):
+            values[..., band + m1, :] = rng.normal(size=values.shape[:-2] + (2 * band + 1,))
+            values[..., band + m1, :] += 1j * rng.normal(size=values.shape[:-2] + (2 * band + 1,))
+        return values
+
+    hp = GriddedFourierField(hp_grids(0.1)[0], two_rows((3, 5)), hbar)
+    flat_grid, kahler_grid = matched_pair()
+    flat = GriddedFourierField(flat_grid, two_rows((3,) * 4), hbar)
+    kahler = GriddedFourierField(kahler_grid, two_rows((3,) * 4), hbar)
+    background = KahlerBackground(potential=doubled_potential, volume=lambda pt: 1.0 + pt[1])
+    for field, bg in ((hp, None), (flat, None), (kahler, background)):
+        assert occupied_m1(field) == (-1, 5)
+        assert assert_slabs_match_full_windows(field, bg).min() > 0
+
+
+def test_verify_me_stencils_see_the_three_occupied_rows(monkeypatch, capsys):
+    from startorus import master_equation
+    from startorus.cli import main
+
+    shapes = []
+    stencil = master_equation.grid_diff2
+    monkeypatch.setattr(
+        master_equation,
+        "grid_diff2",
+        lambda v, grid, axis: shapes.append(v.shape[-2:]) or stencil(v, grid, axis),
+    )
+    assert main(["verify-me"]) == 0
+    capsys.readouterr()
+    # two grids, two second differences each, on rows -1..1 of 49
+    assert shapes == [(3, 49)] * 4
