@@ -181,7 +181,7 @@ class ChiralModel:
         block at a time from 0, the modes (1, l), then (1, -l), l > 0, then
         pi/4 on (1, 1); then row n - 1 (row 1 again at n = 2) their mirrors
         (-1, -l), (-1, l), (-1, -1), of coefficients sign conj(c).  That map
-        flips signs only, so it is taken once on the sum, rounded the same."""
+        flips signs only, so it is taken on the sum, in place, rounded the same."""
         z = _finite_points(z)
         n, col = self.n, np.arange(self.n)
         kept = _kept_orders(n, z.ravel() * self.sigma)
@@ -194,14 +194,15 @@ class ChiralModel:
         orders[0, :, 0] = 0.0  # the modes (1, -l) and (-1, l) start at l = 1
         neg, sign = -col % n, (-1.0) ** (col + 1)
         window = np.zeros((z.size, len(self.rows), n), dtype=np.complex128)
-        for mu1, image, cols in ((1, np.copy, (col, neg)), (n - 1, lambda v: sign * v.conj(), (neg, col))):
-            acc = image(window[:, self.rows.index(mu1)])
+        mirror = lambda v: np.multiply(np.conjugate(v, out=v), sign, out=v)  # noqa: E731
+        for mu1, image, cols in ((1, lambda v: v, (col, neg)), (n - 1, mirror, (neg, col))):
+            acc = image(window[:, self.rows.index(mu1)])  # a view: each row is summed in place
             acc[:, 0] += lead
             for c in cols:
                 for block in orders[..., c]:
                     acc += block
             acc[:, mu1] += np.pi / 4.0
-            window[:, self.rows.index(mu1)] = image(acc) + 0.0  # no -0.0, as if added from 0
+            np.add(image(acc), 0.0, out=acc)  # no -0.0, as if added from 0
         return window.reshape(z.shape + window.shape[1:])
 
     def field_matrix(self, w, z) -> np.ndarray:

@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 # Coefficients with magnitude <= DEFAULT_PRUNE are dropped after every
-# operation.  Pass prune=0.0 to keep everything.
+# operation; `FourierField(...)` and `from_window` keep every entry at prune=0.0.
 DEFAULT_PRUNE = 1e-15
 
 # Every mode has |m1|, |m2| <= _MODE_BOUND, so the sum m + n and the cross
@@ -147,12 +147,12 @@ class FourierField:
         return cls(np.array([[m1, m2]]), np.array([coeff]))
 
     @classmethod
-    def from_dict(cls, table: Mapping[tuple, complex], prune: float = DEFAULT_PRUNE):
+    def from_dict(cls, table: Mapping[tuple, complex]):
         if not table:
             return cls.zero()
         modes = np.array(list(table.keys()))
         coeffs = np.array(list(table.values()), dtype=np.complex128)
-        return cls(modes, coeffs, prune)
+        return cls(modes, coeffs)
 
     @classmethod
     def from_window(cls, window, prune: float = DEFAULT_PRUNE) -> "FourierField":
@@ -449,10 +449,12 @@ def _fft_rows(fw: np.ndarray, gw: np.ndarray, split, f1: int = None, g1: int = N
 
 
 def _mode_slab(f: FourierField, band_limit: int):
-    """(slab, first): f's window rows from its first to its last m1, read off
-    its sorted, nonzero modes, and that first m1."""
+    """(slab, first): f's window rows from its first to its last m1, scattered
+    from its sorted, nonzero modes into a (rows, 2R+1) slab, and that first m1."""
     first = int(f.modes[0, 0])
-    return f.window(band_limit)[first + band_limit : int(f.modes[-1, 0]) + band_limit + 1], first
+    slab = np.zeros((int(f.modes[-1, 0]) - first + 1, 2 * band_limit + 1), dtype=np.complex128)
+    slab[f.modes[:, 0] - first, f.modes[:, 1] + band_limit] = f.coeffs
+    return slab, first
 
 
 def _fft_pairwise(f: FourierField, g: FourierField, split, prune: float) -> FourierField:
@@ -479,9 +481,7 @@ def _pairwise(f: FourierField, g: FourierField, weight: _Weight, prune: float) -
     return _sparse_pairwise(f, g, weight.closed, prune)
 
 
-def _antisymmetrized(
-    f: FourierField, g: FourierField, weight: _Weight, prune: float
-) -> FourierField:
+def _antisymmetrized(f: FourierField, g: FourierField, weight: _Weight) -> FourierField:
     """Bracket with an odd weight in one pass of P = `_pairwise`.
 
     P(f, g) and -P(g, f) agree only up to rounding: their colliding terms
@@ -493,24 +493,20 @@ def _antisymmetrized(
     if np.array_equal(f.modes, g.modes) and np.array_equal(f.coeffs, g.coeffs):
         return FourierField.zero()
     if (f.modes.tobytes(), f.coeffs.tobytes()) < (g.modes.tobytes(), g.coeffs.tobytes()):
-        return _pairwise(f, g, weight, prune)
-    gf = _pairwise(g, f, weight, prune)
+        return _pairwise(f, g, weight, DEFAULT_PRUNE)
+    gf = _pairwise(g, f, weight, DEFAULT_PRUNE)
     return FourierField(gf.modes, 0.0 - gf.coeffs, prune=0.0)
 
 
-def star_product(
-    f: FourierField, g: FourierField, hbar: float, prune: float = DEFAULT_PRUNE
-) -> FourierField:
+def star_product(f: FourierField, g: FourierField, hbar: float) -> FourierField:
     """Associative deformed product with phase exp(i*hbar/2 * m x n).
     Requires a finite hbar."""
     if not math.isfinite(hbar):
         raise ValueError(f"star_product requires a finite hbar, got {hbar}")
-    return _pairwise(f, g, _star_weight(hbar), prune)
+    return _pairwise(f, g, _star_weight(hbar), DEFAULT_PRUNE)
 
 
-def moyal_bracket(
-    f: FourierField, g: FourierField, hbar: float, prune: float = DEFAULT_PRUNE
-) -> FourierField:
+def moyal_bracket(f: FourierField, g: FourierField, hbar: float) -> FourierField:
     """Deformed bracket (f*g - g*f)/(i*hbar), computed in closed form.
 
     Coefficient rule: (2/hbar) sin(hbar/2 * m x n) f_m g_n on mode m+n, one
@@ -520,15 +516,13 @@ def moyal_bracket(
     """
     if not (hbar > 0 and math.isfinite(hbar)):
         raise ValueError(f"moyal_bracket requires a finite hbar > 0, got {hbar}")
-    return _antisymmetrized(f, g, _moyal_weight(hbar), prune)
+    return _antisymmetrized(f, g, _moyal_weight(hbar))
 
 
-def poisson_bracket(
-    f: FourierField, g: FourierField, prune: float = DEFAULT_PRUNE
-) -> FourierField:
+def poisson_bracket(f: FourierField, g: FourierField) -> FourierField:
     """Classical bracket, coefficient rule (m x n) f_m g_n on mode m+n, one
     exactly antisymmetric pass (`_antisymmetrized`)."""
-    return _antisymmetrized(f, g, _POISSON_WEIGHT, prune)
+    return _antisymmetrized(f, g, _POISSON_WEIGHT)
 
 
 def eval_on_torus(f: FourierField, p, q):
@@ -572,11 +566,9 @@ def _fft_window(samples: np.ndarray, band_limit: int) -> np.ndarray:
     return spect[..., (rng % n1)[:, None], (rng % n2)[None, :]] / (n1 * n2)
 
 
-def fft_project(
-    samples: np.ndarray, band_limit: int, prune: float = DEFAULT_PRUNE
-) -> FourierField:
+def fft_project(samples: np.ndarray, band_limit: int) -> FourierField:
     """Project 2d grid samples onto modes with |m1|, |m2| <= band_limit (`_fft_window`)."""
     samples = np.asarray(samples)
     if samples.ndim != 2:
         raise ValueError("samples must be a 2d array")
-    return FourierField.from_window(_fft_window(samples, band_limit), prune)
+    return FourierField.from_window(_fft_window(samples, band_limit))

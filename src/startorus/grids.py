@@ -143,14 +143,14 @@ class GriddedFourierField:
         P is the column (n, 1) of torus angles p_j = 2 pi j / n, n = torus_n,
         and Q the row (1, n) of the same angles q_k: the torus grid as two
         broadcasting axes, not meshgrids, so a term in q alone is computed
-        once per q.  The nodes go in batches of B, at most
-        _SAMPLE_BATCH // n^2 (and at least 1), with one evaluator call each.
-        point is a tuple of the batch's node coordinates, one array of shape
-        (B, 1, 1) per axis, and the result must broadcast to the batch's
-        samples (B, n, n); a result of shape (n, n), (n, 1) or (1, n), or a
-        scalar, holds for every node of the batch.  |c| <= DEFAULT_PRUNE is
-        zeroed, as in `fft_project`.  The windows are full (2R+1, 2R+1);
-        the gridded residuals then work on their occupied m1 rows only.
+        once per q.  The nodes go in batches of B, at most _SAMPLE_BATCH // n^2
+        (and at least 1), with one evaluator call each.  point is a tuple of
+        the batch's node coordinates, one (B, 1, 1) array per axis (as for
+        every callable on a grid, `KahlerBackground`'s too), and the result
+        must broadcast to the batch's samples (B, n, n); a result of shape
+        (n, n), (n, 1) or (1, n), or a scalar, holds for every node of it.
+        |c| <= DEFAULT_PRUNE is zeroed, as in `fft_project`.  The windows are
+        full (2R+1, 2R+1); the residuals then work on their occupied m1 rows.
         """
         if band_limit < 0:
             raise ValueError(f"band_limit must be >= 0, got {band_limit}")

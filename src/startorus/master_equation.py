@@ -320,7 +320,7 @@ class WPolyField:
             for b, cb in enumerate(other.coeffs):
                 if cb.size == 0:
                     continue
-                out[a + b] = out[a + b] + _antisymmetrized(ca, cb, weight, DEFAULT_PRUNE)
+                out[a + b] = out[a + b] + _antisymmetrized(ca, cb, weight)
         return WPolyField(out)
 
     def l2_norm(self) -> float:
@@ -520,7 +520,10 @@ class KahlerBackground:
     The 2x2 block g_{alpha beta~} (rows w, z; columns wt, zt) comes either
     from a closed-form metric_fn(point) or by differencing a potential
     K(w, z, wt, zt).  volume(point) supplies the scalar G weighting the
-    bracket term; it defaults to 1.
+    bracket term; it defaults to 1.  A point is a tuple (w, z, wt, zt) of
+    coordinate arrays that broadcast together, as for `sample`'s evaluator:
+    each callable is called once for all the nodes, and metric_fn returns a
+    nested 2x2 block whose entries are floats or such arrays.
     """
 
     def __init__(
@@ -544,12 +547,14 @@ class KahlerBackground:
         )
 
     def metric(self, point) -> np.ndarray:
-        if self.metric_fn is not None:
-            return np.asarray(self.metric_fn(point), dtype=np.float64)
-        m = np.empty((2, 2))
-        for a in range(2):
-            for b in range(2):
-                m[a, b] = cross_diff(self.potential, point, a, 2 + b, _FD_STEP)
+        """The blocks (...) + (2, 2) at points of shape (...), read entry by
+        entry from one metric_fn call or from 16 calls of the potential."""
+        block = self.metric_fn(point) if self.metric_fn is not None else [
+            [cross_diff(self.potential, point, a, b, _FD_STEP) for b in (2, 3)] for a in (0, 1)
+        ]
+        m = np.empty(np.broadcast_shapes(*map(np.shape, point)) + (2, 2))
+        for a, b in np.ndindex(2, 2):
+            m[..., a, b] = block[a][b]
         return m
 
 
@@ -560,24 +565,24 @@ def residual_me_kahler(
     """Residual of the doubled master equation on a Kahler background.
 
     The field lives on axes ('y', 'yt', 'z', 'zt'); the background metric
-    is read at (w, z, wt, zt) with w = (y + yt)/2 and wt = (y - yt)/2.
-    A metric block with |det| below _DET_TOL aborts with the grid location.
-    The stencils, their metric weights and the bracket run on the field's
+    and volume are read once, on all interior nodes at (w, z, wt, zt) with
+    w = (y + yt)/2 and wt = (y - yt)/2.  A metric block with |det| below
+    _DET_TOL aborts with the first such node's location in C order.  The
+    stencils, their metric weights and the bracket run on the field's
     occupied m1 rows only.
     """
     grid = checked_grid(field.grid, ("y", "yt", "z", "zt"))
     v, first = _trimmed(field.values, -field.band_limit)
-    inner = tuple(s - 2 for s in grid.shape)
-    metric = np.empty(inner + (2, 2))
-    vol = np.empty(inner)
-    for idx in np.ndindex(inner):
-        y, yt, z, zt = grid.point(tuple(a + 1 for a in idx))
-        w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
-        metric[idx] = background.metric(w_pt)
-        det = float(np.linalg.det(metric[idx]))
-        if abs(det) < _DET_TOL:
-            raise SingularMetricError(f"metric block degenerate (det={det!r})", location=w_pt)
-        vol[idx] = background.volume(w_pt)
+    y, yt, z, zt = np.meshgrid(*(a[1:-1] for a in grid.axes), indexing="ij")
+    w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
+    metric = background.metric(w_pt)
+    det = np.linalg.det(metric)
+    bad = np.flatnonzero(np.abs(det) < _DET_TOL)
+    if bad.size:  # the first degenerate node in C order
+        k = bad[0]
+        where = tuple(float(c.flat[k]) for c in w_pt)
+        raise SingularMetricError(f"metric block degenerate (det={float(det.flat[k])!r})", where)
+    vol = np.broadcast_to(np.asarray(background.volume(w_pt), dtype=np.float64), y.shape)
     ginv = np.moveaxis(np.linalg.inv(metric), (-2, -1), (0, 1))[..., None, None]
     (g_wtw, g_wtz), (g_ztw, g_ztz) = ginv  # per node, broadcast over the mode rows
 

@@ -27,7 +27,7 @@ from startorus import (
     torus_nodes,
 )
 from startorus.master_equation import _bessel_integrals, _expansion_row
-from startorus.numerics import grid_cross_diff, grid_diff, grid_diff2
+from startorus.numerics import cross_diff, grid_cross_diff, grid_diff, grid_diff2
 
 
 def conv(a: dict, b: dict) -> dict:
@@ -644,6 +644,14 @@ def test_kahler_background_construction():
     assert flat.volume((0, 0, 0, 0)) == 1.0
     with pytest.raises(ValueError):
         KahlerBackground()
+    # on arrays of points: (...) + (2, 2), float entries broadcast
+    z = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert np.array_equal(flat.metric((0.1, z, 0.2, 0.3)), np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+    mixed = KahlerBackground(metric_fn=lambda pt: [[1.0, 0.3 * pt[1]], [0.3 * pt[1], 1.0]])
+    metric = mixed.metric((0.1, z, 0.2, 0.3))
+    assert metric.shape == (2, 3, 2, 2)
+    assert np.array_equal(metric[..., 0, 1], 0.3 * z) and np.array_equal(metric[..., 1, 0], 0.3 * z)
+    assert np.all(metric[..., 0, 0] == 1.0) and np.all(metric[..., 1, 1] == 1.0)
 
 
 def node_stencils(field):
@@ -677,13 +685,12 @@ def per_node_kahler(field, background):
     grid = field.grid
     inner = tuple(s - 2 for s in grid.shape)
     d1, d2, cross = node_stencils(field)
+    metric, volume = per_node_background(grid, background)
     per = np.zeros(inner)
     for idx in np.ndindex(inner):
         i = tuple(a + 1 for a in idx)
-        y, yt, z, zt = grid.point(i)
-        w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
-        ginv = np.linalg.inv(background.metric(w_pt))
-        vol = background.volume(w_pt)
+        ginv = np.linalg.inv(metric[idx])
+        vol = volume[idx]
         linear = (1.0 / ginv[0, 0]) * (
             ginv[1, 1] * cross(i, 2, 3)
             + ginv[1, 0] * (cross(i, 0, 3) + cross(i, 1, 3))
@@ -695,30 +702,41 @@ def per_node_kahler(field, background):
     return per
 
 
-def test_kahler_residual_equals_per_node_reference():
-    hbar = 2 * np.pi / 6
+# (y, yt, z, zt) grid with 1 x 2 x 2 x 1 interior nodes
+MIXING_GRID = SpacetimeGrid(
+    {
+        "y": np.linspace(0.0, 0.2, 3),
+        "yt": np.linspace(-0.1, 0.1, 4),
+        "z": np.linspace(0.2, 0.4, 4),
+        "zt": np.linspace(0.1, 0.3, 3),
+    }
+)
+
+
+def mixing_field(grid, hbar=2 * np.pi / 6, band=8, torus_n=24):
+    """A field on a (y, yt, z, zt) grid that is not a solution: every pair
+    of axes mixes, so each stencil and each inverse-metric entry shows in
+    the residual."""
     sol = example_solution(hbar)
-    grid = SpacetimeGrid(
-        {
-            "y": np.linspace(0.0, 0.2, 3),
-            "yt": np.linspace(-0.1, 0.1, 4),
-            "z": np.linspace(0.2, 0.4, 4),
-            "zt": np.linspace(0.1, 0.3, 3),
-        }
-    )
 
     def vals(point, P, Q):
-        # not a solution: every pair of axes mixes, so each stencil and each
-        # inverse-metric entry shows in the residual
         y, yt, z, zt = point
         mixed = (yt * z + 0.5 * yt * zt + 0.7 * y * zt) * np.cos(P + Q + 0.3)
         return sol.evaluate(y + 0.4 * yt * z, z + zt + 0.3 * y * zt, P, Q) + mixed
 
-    field = GriddedFourierField.sample(grid, vals, 8, hbar, torus_n=24)
-    background = KahlerBackground(
+    return GriddedFourierField.sample(grid, vals, band, hbar, torus_n=torus_n)
+
+
+def mixing_background():
+    return KahlerBackground(
         potential=lambda pt: pt[0] * pt[2] + pt[1] * pt[3] + 0.3 * pt[0] * pt[1] * pt[2] * pt[3],
         volume=lambda pt: 1.0 + 0.5 * pt[1],
     )
+
+
+def test_kahler_residual_equals_per_node_reference():
+    field = mixing_field(MIXING_GRID)
+    background = mixing_background()
     got = residual_me_kahler(field, background).per_point
     want = per_node_kahler(field, background)
     assert got.shape == (1, 2, 2, 1)
@@ -800,18 +818,20 @@ def test_every_gridded_residual_takes_its_bracket_in_one_kernel_pass(hbar, monke
 
 
 def test_degenerate_metric_aborts_with_location():
-    hbar = 0.25
-    _, kahler_grid = matched_pair()
-
-    def kahler_vals(point, P, Q):
-        y, yt, z, zt = point
-        return quadratic_evaluator(0.5 * (y + yt), z, 0.5 * (y - yt), zt, P, Q)
-
-    field = GriddedFourierField.sample(kahler_grid, kahler_vals, 2, hbar, torus_n=16)
-    degenerate = KahlerBackground(metric_fn=lambda pt: np.ones((2, 2)))
-    with pytest.raises(SingularMetricError) as err:
-        residual_me_kahler(field, degenerate)
-    assert err.value.location is not None
+    # degenerate on the interior nodes with z > 0.3 only, the second of the
+    # two z nodes: the first such node in C order is (0, 0, 1, 0)
+    degenerate = KahlerBackground(
+        metric_fn=lambda pt: [[1.0, 1.0], [1.0, np.where(pt[1] > 0.3, 1.0 + 1e-12, 2.0)]]
+    )
+    with pytest.raises(SingularMetricError) as want:
+        per_node_background(MIXING_GRID, degenerate)
+    with pytest.raises(SingularMetricError) as got:
+        residual_me_kahler(mixing_field(MIXING_GRID), degenerate)
+    assert str(got.value) == str(want.value)
+    assert got.value.location == want.value.location
+    y, yt, z, zt = MIXING_GRID.point((1, 1, 2, 1))
+    assert want.value.location == (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
+    assert all(type(c) is float for c in got.value.location)
 
 
 def test_doubled_axis_guards():
@@ -872,15 +892,30 @@ def full_window_me_flat(field):
     )
 
 
-def full_window_me_kahler(field, background):
-    grid, v = field.grid, field.values
+def per_node_background(grid, background):
+    """Metric blocks and volumes on the interior nodes of a (y, yt, z, zt)
+    grid, one node at a time with its det check, as `residual_me_kahler`
+    read them before the background took arrays: frozen as the reference."""
     inner = tuple(s - 2 for s in grid.shape)
     metric, vol = np.empty(inner + (2, 2)), np.empty(inner)
     for idx in np.ndindex(inner):
         y, yt, z, zt = grid.point(tuple(a + 1 for a in idx))
         w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
-        metric[idx] = background.metric(w_pt)
+        if background.metric_fn is not None:
+            metric[idx] = np.asarray(background.metric_fn(w_pt), dtype=np.float64)
+        else:
+            for a in range(2):
+                for b in range(2):
+                    metric[idx + (a, b)] = cross_diff(background.potential, w_pt, a, 2 + b, 1e-4)
+        det = float(np.linalg.det(metric[idx]))
+        if abs(det) < 1e-10:
+            raise SingularMetricError(f"metric block degenerate (det={det!r})", location=w_pt)
         vol[idx] = background.volume(w_pt)
+    return metric, vol
+
+
+def full_window_me_kahler(field, metric, vol):
+    grid, v = field.grid, field.values
     ginv = np.moveaxis(np.linalg.inv(metric), (-2, -1), (0, 1))[..., None, None]
     (g_wtw, g_wtz), (g_ztw, g_ztz) = ginv
 
@@ -901,9 +936,38 @@ def full_window_me_kahler(field, background):
     )
 
 
+def recorded(log, name, fn):
+    """fn of a point, appending (name, the point's broadcast shape, result)
+    to log on every call."""
+
+    def call(point):
+        log.append((name, np.broadcast_shapes(*map(np.shape, point)), fn(point)))
+        return log[-1][2]
+
+    return call
+
+
+def spied(background, log):
+    """background whose metric and volume calls are `recorded` in log."""
+    spy = KahlerBackground(background.potential, background.metric_fn, background.volume)
+    spy.metric = recorded(log, "metric", spy.metric)
+    spy.volume = recorded(log, "volume", spy.volume)
+    return spy
+
+
 def assert_slabs_match_full_windows(field, background=None):
     if background is not None:
-        got, want = residual_me_kahler(field, background), full_window_me_kahler(field, background)
+        # one metric and one volume call, bit-identical to the per-node loop
+        log = []
+        got = residual_me_kahler(field, spied(background, log))
+        metric, vol = per_node_background(field.grid, background)
+        assert [entry[:2] for entry in log] == [("metric", vol.shape), ("volume", vol.shape)]
+        seen = {name: result for name, _, result in log}
+        assert seen["metric"].shape == metric.shape
+        assert seen["metric"].tobytes() == metric.tobytes()
+        seen_vol = np.broadcast_to(np.asarray(seen["volume"], dtype=np.float64), vol.shape)
+        assert seen_vol.tobytes() == vol.tobytes()
+        want = full_window_me_kahler(field, metric, vol)
     elif field.grid.names == ("w", "z"):
         got, want = residual_moyal_hp(field), full_window_moyal_hp(field)
     else:
@@ -1045,6 +1109,54 @@ def test_residuals_on_a_slab_with_empty_rows_inside(hbar):
     for field, bg in ((hp, None), (flat, None), (kahler, background)):
         assert occupied_m1(field) == (-1, 5)
         assert assert_slabs_match_full_windows(field, bg).min() > 0
+
+
+# ---------------------------------------------------------------------------
+# the Kahler background on arrays of nodes, against the per-node loop
+
+
+def doubled_block(pt, eps=0.3):
+    """Closed-form mixed Hessian d_a d_{b~} K of `doubled_potential`."""
+    w, z, wt, zt = pt
+    return np.array(
+        [
+            [1.0 + 4.0 * eps * w * wt + eps * z * zt, eps * z * wt],
+            [eps * w * zt, 1.0 + eps * w * wt],
+        ]
+    )
+
+
+KAHLER_BACKGROUNDS = {
+    "potential": lambda: KahlerBackground(potential=doubled_potential),
+    "potential and volume": mixing_background,
+    "closed form": lambda: KahlerBackground(metric_fn=doubled_block),
+    "flat": KahlerBackground.flat,
+    "float and array entries": lambda: KahlerBackground(
+        metric_fn=lambda pt: [[1.0, 0.3 * pt[1]], [0.3 * pt[1], 1.0]],
+        volume=lambda pt: 1.0 + pt[0] * pt[3],
+    ),
+}
+
+
+@pytest.mark.parametrize("background", sorted(KAHLER_BACKGROUNDS))
+@pytest.mark.parametrize("grid", ["doubled", "mixing"])
+def test_kahler_background_on_arrays_is_bit_identical_to_the_node_loop(background, grid):
+    grid = doubled_grids()[1] if grid == "doubled" else MIXING_GRID
+    field = mixing_field(grid)
+    assert assert_slabs_match_full_windows(field, KAHLER_BACKGROUNDS[background]()).min() > 0
+
+
+def test_kahler_background_callables_are_called_once_on_all_nodes():
+    field = mixing_field(MIXING_GRID)
+    log, inner = [], (1, 2, 2, 1)
+    volume = recorded(log, "volume", lambda pt: 1.0 + pt[1])
+    potential = recorded(log, "K", doubled_potential)
+    residual_me_kahler(field, KahlerBackground(potential, volume=volume))
+    assert [entry[:2] for entry in log] == [("K", inner)] * 16 + [("volume", inner)]
+    log.clear()
+    metric_fn = recorded(log, "g", doubled_block)
+    residual_me_kahler(field, KahlerBackground(metric_fn=metric_fn, volume=volume))
+    assert [entry[:2] for entry in log] == [("g", inner), ("volume", inner)]
 
 
 def test_verify_me_stencils_see_the_three_occupied_rows(monkeypatch, capsys):
