@@ -125,15 +125,17 @@ class FourierField:
     Modes are kept unique and lexicographically sorted on (m1, m2), which
     makes every downstream reduction order (and hence every serialized
     byte) deterministic.  Exactly representable zero coefficients are
-    simply absent.
+    simply absent.  `band_limit`, the smallest R with |m1| <= R and
+    |m2| <= R for every stored mode, is found once, when the field is built.
     """
 
-    __slots__ = ("modes", "coeffs")
+    __slots__ = ("modes", "coeffs", "band_limit")
 
     def __init__(self, modes, coeffs, prune: float = DEFAULT_PRUNE):
         m, c = _canonical(modes, coeffs, prune)
         self.modes = m
         self.coeffs = c
+        self.band_limit = int(np.abs(m).max(initial=0))
 
     # -- constructors -------------------------------------------------
 
@@ -165,13 +167,6 @@ class FourierField:
         return cls(modes, np.ravel(window), prune)
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def band_limit(self) -> int:
-        """Smallest R with |m1| <= R and |m2| <= R for every stored mode."""
-        if self.modes.shape[0] == 0:
-            return 0
-        return int(np.max(np.abs(self.modes)))
 
     @property
     def size(self) -> int:

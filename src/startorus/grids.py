@@ -80,9 +80,6 @@ class SpacetimeGrid:
         except ValueError:
             raise KeyError(f"grid has no axis {name!r}") from None
 
-    def point(self, index: tuple) -> tuple:
-        return tuple(float(a[i]) for a, i in zip(self.axes, index))
-
     def refined(self, factor: int = 2) -> "SpacetimeGrid":
         """Same spans with each step divided by factor (endpoints kept)."""
         axes = {}

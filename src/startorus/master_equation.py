@@ -256,8 +256,26 @@ def example_solution(hbar: float) -> ClosedFormSolution:
     return ClosedFormSolution(hbar)
 
 
+def _merged(terms) -> FourierField:
+    """sum s f over the (s, f) pairs of terms in one sort-and-merge.
+
+    Each term is taken as `s * f` takes it, complex(s) times f's
+    coefficients with the entries |s c| <= DEFAULT_PRUNE dropped; the
+    merge adds up each mode's entries and prunes the sums once."""
+    modes, coeffs = [np.empty((0, 2), dtype=np.int64)], [np.empty(0, dtype=np.complex128)]
+    for s, f in terms:
+        c = f.coeffs * complex(s)
+        keep = np.abs(c) > DEFAULT_PRUNE
+        modes.append(f.modes[keep])
+        coeffs.append(c[keep])
+    return FourierField(np.concatenate(modes), np.concatenate(coeffs))
+
+
 class WPolyField:
-    """Polynomial in w with mode-field coefficients: sum_k w^k coeffs[k]."""
+    """Polynomial in w with mode-field coefficients: sum_k w^k coeffs[k].
+
+    Every sum of coefficients, in `at_w`, `bracket` and the series, is one
+    `_merged` call per w-degree."""
 
     __slots__ = ("coeffs",)
 
@@ -269,59 +287,25 @@ class WPolyField:
             coeffs = [FourierField.zero()]
         self.coeffs = coeffs
 
-    @classmethod
-    def constant(cls, f: FourierField) -> "WPolyField":
-        return cls([f])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def band_limit(self) -> int:
-        return max(c.band_limit for c in self.coeffs)
-
     def at_w(self, w: float) -> FourierField:
-        acc = FourierField.zero()
-        for k, c in enumerate(self.coeffs):
-            acc = acc + (w**k) * c
-        return acc
+        return _merged((w**k, c) for k, c in enumerate(self.coeffs))
 
     def d_dw(self) -> "WPolyField":
-        if self.degree == 0:
-            return WPolyField([FourierField.zero()])
-        return WPolyField([float(k) * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other: "WPolyField") -> "WPolyField":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else FourierField.zero()
-            b = other.coeffs[k] if k < len(other.coeffs) else FourierField.zero()
-            out.append(a + b)
-        return WPolyField(out)
-
-    def __neg__(self) -> "WPolyField":
-        return WPolyField([-c for c in self.coeffs])
-
-    def __sub__(self, other: "WPolyField") -> "WPolyField":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "WPolyField":
-        return WPolyField([scalar * c for c in self.coeffs])
+        return WPolyField([float(k) * c for k, c in enumerate(self.coeffs[1:], 1)])
 
     def bracket(self, other: "WPolyField", hbar: float) -> "WPolyField":
         """Torus bracket (Poisson at hbar = 0), degree-wise in w."""
         weight = _bracket_weight(hbar)
-        out = [FourierField.zero() for _ in range(self.degree + other.degree + 1)]
+        terms = [[] for _ in range(self.degree + other.degree + 1)]
         for a, ca in enumerate(self.coeffs):
-            if ca.size == 0:
-                continue
             for b, cb in enumerate(other.coeffs):
-                if cb.size == 0:
-                    continue
-                out[a + b] = out[a + b] + _antisymmetrized(ca, cb, weight)
-        return WPolyField(out)
+                if ca.size and cb.size:
+                    terms[a + b].append((1.0, _antisymmetrized(ca, cb, weight)))
+        return WPolyField([_merged(t) for t in terms])
 
     def l2_norm(self) -> float:
         return math.sqrt(sum(c.l2_norm() ** 2 for c in self.coeffs))
@@ -331,7 +315,7 @@ def _as_wpoly(f) -> WPolyField:
     if isinstance(f, WPolyField):
         return f
     if isinstance(f, FourierField):
-        return WPolyField.constant(f)
+        return WPolyField([f])
     raise TypeError("cauchy data must be FourierField or WPolyField")
 
 
@@ -368,10 +352,7 @@ class SeriesSolution:
         return weights
 
     def field_at(self, w: float, z: float) -> FourierField:
-        acc = FourierField.zero()
-        for weight, theta_k in zip(self._weights(z), self.orders):
-            acc = acc + weight * theta_k.at_w(w)
-        return acc
+        return _merged(zip(self._weights(z), (theta.at_w(w) for theta in self.orders)))
 
     def tail_estimate(self, w: float, z: float) -> float:
         """Magnitude of the last retained term; a heuristic truncation gauge."""
@@ -383,11 +364,11 @@ def kowalewska_series(theta0, theta1, hbar: float, terms: int) -> SeriesSolution
 
     Each order is forced by the equation written as a Kowalewska system:
 
-        Theta_k = -d2w Theta_{k-2}
-                  - sum_{j=0}^{k-2} C(k-2, j) {d_w Theta_j, Theta_{k-1-j}}
+        Theta_k = -(d2w Theta_{k-2}
+                    + sum_{j=0}^{k-2} C(k-2, j) {d_w Theta_j, Theta_{k-1-j}})
 
-    for k >= 2, with Theta_0, Theta_1 the data.  terms counts the orders
-    kept, so terms >= 2.
+    for k >= 2, with Theta_0, Theta_1 the data: each w-degree of Theta_k is
+    one `_merged` sum, negated.  terms counts the orders kept, so terms >= 2.
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
@@ -396,14 +377,20 @@ def kowalewska_series(theta0, theta1, hbar: float, terms: int) -> SeriesSolution
     orders = [_as_wpoly(theta0), _as_wpoly(theta1)]
     d_w = [theta.d_dw() for theta in orders]  # d_w Theta_j, taken once per order
     for k in range(2, terms):
-        acc = -d_w[k - 2].d_dw()
-        for j in range(k - 1):
-            if d_w[j].degree == 0 and d_w[j].coeffs[0].size == 0:
-                continue  # {0, .} = 0, and subtracting it leaves acc as it is
-            coeff = float(math.comb(k - 2, j))
-            acc = acc - coeff * d_w[j].bracket(orders[k - 1 - j], hbar)
-        orders.append(acc)
-        d_w.append(acc.d_dw())
+        parts = [(1.0, d_w[k - 2].d_dw())] + [
+            (float(math.comb(k - 2, j)), d_w[j].bracket(orders[k - 1 - j], hbar))
+            for j in range(k - 1)
+            if d_w[j].degree or d_w[j].coeffs[0].size  # {0, .} = 0 adds nothing
+        ]
+        degree = max(p.degree for _, p in parts)
+        theta = WPolyField(
+            [
+                -_merged((s, p.coeffs[d]) for s, p in parts if d <= p.degree)
+                for d in range(degree + 1)
+            ]
+        )
+        orders.append(theta)
+        d_w.append(theta.d_dw())
     return SeriesSolution(orders=orders, hbar=hbar)
 
 

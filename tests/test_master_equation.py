@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from startorus import (
     DEFAULT_PRUNE,
@@ -26,7 +27,7 @@ from startorus import (
     richardson_order,
     torus_nodes,
 )
-from startorus.master_equation import _bessel_integrals, _expansion_row
+from startorus.master_equation import _bessel_integrals, _expansion_row, _merged
 from startorus.numerics import cross_diff, grid_cross_diff, grid_diff, grid_diff2
 
 
@@ -317,38 +318,171 @@ def test_series_of_data_orders_echo_input():
     assert series2.orders[0].degree == 0
 
 
+# The w-polynomial arithmetic as the series took it before each w-degree
+# became one merged sum: a `FourierField` `+` per term and degree, frozen as
+# the oracle.  Each takes and returns `WPolyField`s through the constructor.
+
+def frozen_add(a, b):
+    def pad(p, k):
+        return p.coeffs[k] if k < len(p.coeffs) else FourierField.zero()
+
+    return WPolyField([pad(a, k) + pad(b, k) for k in range(max(len(a.coeffs), len(b.coeffs)))])
+
+
+def frozen_neg(a):
+    return WPolyField([-c for c in a.coeffs])
+
+
+def frozen_scaled(s, a):
+    return WPolyField([s * c for c in a.coeffs])
+
+
+def frozen_d_dw(a):
+    if a.degree == 0:
+        return WPolyField([FourierField.zero()])
+    return WPolyField([float(k) * c for k, c in enumerate(a.coeffs)][1:])
+
+
+def frozen_bracket(a, b, hbar):
+    from startorus import fourier
+
+    weight = fourier._bracket_weight(hbar)
+    out = [FourierField.zero() for _ in range(a.degree + b.degree + 1)]
+    for i, ca in enumerate(a.coeffs):
+        if ca.size == 0:
+            continue
+        for j, cb in enumerate(b.coeffs):
+            if cb.size == 0:
+                continue
+            out[i + j] = out[i + j] + fourier._antisymmetrized(ca, cb, weight)
+    return WPolyField(out)
+
+
 def frozen_kowalewska_orders(theta0, theta1, hbar, terms):
-    """The recursion as first written: d_w and a bracket for every j."""
+    """The series' orders in the frozen list arithmetic, {0, .} skipped."""
     orders = [theta0, theta1]
+    d_w = [frozen_d_dw(theta) for theta in orders]
     for k in range(2, terms):
-        acc = -orders[k - 2].d_dw().d_dw()
+        acc = frozen_neg(frozen_d_dw(d_w[k - 2]))
         for j in range(k - 1):
-            coeff = float(math.comb(k - 2, j))
-            term = orders[j].d_dw().bracket(orders[k - 1 - j], hbar)
-            acc = acc - coeff * term
+            if d_w[j].degree == 0 and d_w[j].coeffs[0].size == 0:
+                continue
+            term = frozen_bracket(d_w[j], orders[k - 1 - j], hbar)
+            acc = frozen_add(acc, frozen_neg(frozen_scaled(float(math.comb(k - 2, j)), term)))
         orders.append(acc)
+        d_w.append(frozen_d_dw(acc))
     return orders
 
 
-@pytest.mark.parametrize("hbar", [0.0, 2 * np.pi / 12])
-def test_series_bit_identical_to_the_bracket_for_every_j(hbar):
-    # w-degree 2 data: d_w Theta_j is nonzero for some j > 0 and the zero
-    # field for others, so the recursion takes and skips brackets past j = 0
+def every_j_orders(theta0, theta1, hbar, terms):
+    """The recursion with d_w and a bracket for every j, {0, .} included, in
+    the library's arithmetic: each w-degree one `_merged` sum, negated."""
+    orders = [theta0, theta1]
+    for k in range(2, terms):
+        parts = [(1.0, orders[k - 2].d_dw().d_dw())] + [
+            (float(math.comb(k - 2, j)), orders[j].d_dw().bracket(orders[k - 1 - j], hbar))
+            for j in range(k - 1)
+        ]
+        degree = max(p.degree for _, p in parts)
+        orders.append(
+            WPolyField(
+                [
+                    -_merged((s, p.coeffs[d]) for s, p in parts if d <= p.degree)
+                    for d in range(degree + 1)
+                ]
+            )
+        )
+    return orders
+
+
+def assert_orders_bit_identical(got, want):
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.degree == b.degree, k
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert x.modes.tobytes() == y.modes.tobytes(), k
+            assert x.coeffs.tobytes() == y.coeffs.tobytes(), k  # -0.0 too
+
+
+def assert_orders_close(got, want, rtol=1e-14):
+    """Every order k agrees coefficient by coefficient, a missing mode read
+    as 0, within rtol of the largest coefficient of the orders 0..k plus
+    2 DEFAULT_PRUNE: the list arithmetic prunes every partial sum, so an
+    entry at the prune edge may be kept by one arithmetic and not the other."""
+    assert len(got) == len(want)
+    scale = 0.0
+    for k, (a, b) in enumerate(zip(got, want)):
+        x = [c.to_dict() for c in a.coeffs]
+        y = [c.to_dict() for c in b.coeffs]
+        scale = max([scale] + [abs(v) for d in x + y for v in d.values()])
+        x += [{}] * (len(y) - len(x))
+        y += [{}] * (len(x) - len(y))
+        gap = max(
+            (abs(p.get(m, 0j) - q.get(m, 0j)) for p, q in zip(x, y) for m in set(p) | set(q)),
+            default=0.0,
+        )
+        assert gap <= rtol * scale + 2 * DEFAULT_PRUNE, (k, gap, scale)
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1e-3, 0.3, 2 * np.pi / 12, 2 * np.pi / 5])
+def test_series_orders_bit_identical_to_the_list_arithmetic_on_the_example(hbar):
+    # one term per mode and degree, or two: the merged sums add as the
+    # per-term `+` did, bit for bit; the orders of 200 terms hold those of fewer
+    want = frozen_kowalewska_orders(*example_cauchy_data(), hbar, 200)
+    for terms in (12, 48, 200):
+        got = kowalewska_series(*example_cauchy_data(), hbar, terms).orders
+        assert_orders_bit_identical(got, want[:terms])
+
+
+def degree_two_data():
     wave = FourierField.from_dict
     theta0 = WPolyField(
         [wave({(1, 1): 0.5, (-1, -1): 0.5}), wave({(0, 1): -0.5j, (0, -1): 0.5j}),
          wave({(1, 0): 0.25, (-1, 0): 0.25})]
     )
     theta1 = WPolyField([wave({(1, -1): 0.3j, (-1, 1): -0.3j})])
-    got = kowalewska_series(theta0, theta1, hbar, terms=9).orders
-    want = frozen_kowalewska_orders(theta0, theta1, hbar, 9)
+    return theta0, theta1
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1e-3, 2 * np.pi / 12])
+def test_series_bit_identical_to_the_bracket_for_every_j(hbar):
+    # w-degree 2 data: d_w Theta_j is nonzero for some j > 0 and the zero
+    # field for others, so the recursion takes and skips brackets past j = 0
+    got = kowalewska_series(*degree_two_data(), hbar, terms=9).orders
+    want = every_j_orders(*degree_two_data(), hbar, 9)
     assert want[1].degree == 0 and want[2].degree == 1  # j = 1 skipped, j = 2 taken
-    assert len(got) == len(want)
-    for k, (a, b) in enumerate(zip(got, want)):
-        assert a.degree == b.degree, k
-        for x, y in zip(a.coeffs, b.coeffs):
-            assert np.array_equal(x.modes, y.modes), k
-            assert np.array_equal(x.coeffs, y.coeffs), k
+    assert_orders_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1e-3, 2 * np.pi / 12])
+def test_series_agrees_with_the_list_arithmetic_on_degree_two_data(hbar):
+    # several terms merge at once here, so the sums may round apart
+    got = kowalewska_series(*degree_two_data(), hbar, terms=9).orders
+    assert_orders_close(got, frozen_kowalewska_orders(*degree_two_data(), hbar, 9))
+
+
+@st.composite
+def cauchy_wpoly(draw):
+    """A WPolyField of w-degree 0-2, each coefficient at most 6 modes of band <= 3."""
+    coeff = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    mode = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    degrees = []
+    for _ in range(draw(st.integers(1, 3))):
+        table = draw(st.dictionaries(mode, st.builds(complex, coeff, coeff), max_size=6))
+        degrees.append(FourierField.from_dict(table))
+    return WPolyField(degrees)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cauchy_wpoly(),
+    cauchy_wpoly(),
+    st.one_of(st.just(0.0), st.floats(1e-3, 2 * np.pi / 3)),
+    st.integers(2, 8),
+)
+def test_series_agrees_with_the_list_arithmetic_on_random_data(theta0, theta1, hbar, terms):
+    got = kowalewska_series(theta0, theta1, hbar, terms).orders
+    assert_orders_close(got, frozen_kowalewska_orders(theta0, theta1, hbar, terms))
 
 
 @pytest.mark.parametrize("hbar", [0.0, 0.5])
@@ -829,7 +963,7 @@ def test_degenerate_metric_aborts_with_location():
         residual_me_kahler(mixing_field(MIXING_GRID), degenerate)
     assert str(got.value) == str(want.value)
     assert got.value.location == want.value.location
-    y, yt, z, zt = MIXING_GRID.point((1, 1, 2, 1))
+    y, yt, z, zt = (float(a[i]) for a, i in zip(MIXING_GRID.axes, (1, 1, 2, 1)))
     assert want.value.location == (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
     assert all(type(c) is float for c in got.value.location)
 
@@ -899,7 +1033,7 @@ def per_node_background(grid, background):
     inner = tuple(s - 2 for s in grid.shape)
     metric, vol = np.empty(inner + (2, 2)), np.empty(inner)
     for idx in np.ndindex(inner):
-        y, yt, z, zt = grid.point(tuple(a + 1 for a in idx))
+        y, yt, z, zt = (float(a[i + 1]) for a, i in zip(grid.axes, idx))
         w_pt = (0.5 * (y + yt), z, 0.5 * (y - yt), zt)
         if background.metric_fn is not None:
             metric[idx] = np.asarray(background.metric_fn(w_pt), dtype=np.float64)
