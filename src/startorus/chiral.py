@@ -456,7 +456,10 @@ def convergence_study(
         raise ValueError(f"rank {repeated[0]} is repeated; the fit needs distinct ranks")
     if band_limit < max(n_values):
         raise ValueError("band_limit must cover the largest window")
-    z = np.asarray(points, dtype=np.float64)[:, 1]
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
+        raise ValueError(f"points must be one or more rows (w, z), got shape {points.shape}")
+    z = points[:, 1]
     hbars = np.array([matched_hbar(n) for n in n_values] + [hbar_ref])
     # inside the window [0, n)^2 the two expansions differ only on the modes
     # (1, 0..n-1): the w term on (0, 1) and pi/4 on (1, 1) do not depend on hbar

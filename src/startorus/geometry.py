@@ -1,14 +1,13 @@
 r"""Curvature of the heavenly metric induced by the classical wave solution.
 
-Coordinates are ordered (w, z, p, q).  Writing theta for the classical
-solution, arg = z cos q + p and Phi = cos q / cos(arg), the metric is
-
-    ds^2 = dw (theta_pw dp + theta_qw dq) + dz (theta_pz dp + theta_qz dq)
-           - (1/{theta_w, theta_z}) [ (theta_pw dp + theta_qw dq)^2
-                                      + (theta_pz dp + theta_qz dq)^2 ],
-
-with the torus bracket {f, g} = f_q g_p - f_p g_q.  A null tetrad brings it
-to ds^2 = 2 e^1 e^2 + 2 e^3 e^4, frame metric eta = FRAME_METRIC.  The first
+Coordinates are ordered (w, z, p, q).  For a solution theta, let
+a = theta_pw dp + theta_qw dq, b = theta_pz dp + theta_qz dq and
+d = {theta_w, theta_z}, with the torus bracket {f, g} = f_q g_p - f_p g_q.  The
+heavenly metric ds^2 = dw a + dz b - (a^2 + b^2)/d has the null coframe
+e = (a, dw - a/d, b, dz - b/d)/sqrt 2 where d != 0: ds^2 = 2 e^1 e^2 + 2 e^3 e^4.
+Every metric here is read off a coframe as g = e^T eta e, eta = FRAME_METRIC.
+For the classical solution, with arg = z cos q + p and Phi = cos q / cos(arg),
+`TetradFrame` is a closed-form null coframe of the same metric.  The first
 structure equation de^a = -Gamma^a_b ^ e^b has one torsion-free,
 eta-compatible solution, the Ricci rotation coefficients: with D_acd the
 frame components of eta_ab de^b,
@@ -39,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import SingularMetricError, central_diff, cross_diff
+from .numerics import SingularMetricError
 
 __all__ = [
     "COORDS",
@@ -83,7 +82,8 @@ def _trig(point):
 
 @dataclass
 class ThetaDerivatives:
-    """First w/z derivatives of theta and their torus gradients."""
+    """First w/z derivatives of theta and their torus gradients, callables on
+    points (..., 4) whose values broadcast to (...)."""
 
     d_w: Callable
     d_z: Callable
@@ -92,7 +92,7 @@ class ThetaDerivatives:
     d_pz: Callable
     d_qz: Callable
 
-    def bracket_wz(self, point) -> float:
+    def bracket_wz(self, point):
         """{theta_w, theta_z} = theta_qw theta_pz - theta_pw theta_qz."""
         return self.d_qw(point) * self.d_pz(point) - self.d_pw(point) * self.d_qz(point)
 
@@ -102,64 +102,91 @@ def example_theta() -> ThetaDerivatives:
     return ThetaDerivatives(
         d_w=lambda pt: -_trig(pt)[1],
         d_z=lambda pt: -_trig(pt)[3],
-        d_pw=lambda pt: 0.0,
+        d_pw=lambda pt: np.zeros(np.shape(pt)[:-1]),
         d_qw=lambda pt: -_trig(pt)[0],
         d_pz=lambda pt: -_trig(pt)[2],
-        d_qz=lambda pt: pt[1] * _trig(pt)[1] * _trig(pt)[2],
+        d_qz=lambda pt: np.asarray(pt, dtype=np.float64)[..., 1] * _trig(pt)[1] * _trig(pt)[2],
     )
 
 
 def fd_theta_derivatives(fn: Callable, step: float = 1e-5) -> ThetaDerivatives:
-    """Derivative pack for any scalar theta(point) by central differences."""
-    return ThetaDerivatives(
-        d_w=lambda pt: float(central_diff(fn, pt, 0, step)),
-        d_z=lambda pt: float(central_diff(fn, pt, 1, step)),
-        d_pw=lambda pt: float(cross_diff(fn, pt, 2, 0, step)),
-        d_qw=lambda pt: float(cross_diff(fn, pt, 3, 0, step)),
-        d_pz=lambda pt: float(cross_diff(fn, pt, 2, 1, step)),
-        d_qz=lambda pt: float(cross_diff(fn, pt, 3, 1, step)),
-    )
+    """Derivative pack by central differences of theta(points (..., 4)) -> (...)."""
+    h = step * np.eye(4)
+
+    def first(i):
+        return lambda pt: (fn(pt + h[i]) - fn(pt - h[i])) / (2.0 * step)
+
+    def mixed(i, j):
+        return lambda pt: (
+            fn(pt + h[i] + h[j]) - fn(pt + h[i] - h[j]) - fn(pt - h[i] + h[j]) + fn(pt - h[i] - h[j])
+        ) / (4.0 * step * step)
+
+    return ThetaDerivatives(first(0), first(1), mixed(2, 0), mixed(3, 0), mixed(2, 1), mixed(3, 1))
 
 
 @dataclass
 class MetricField:
-    """Symmetric 4x4 metric components at one point, coordinates COORDS."""
+    """Symmetric 4x4 metric components, coordinates COORDS, at one point
+    (a tuple) or at points (..., 4) (an array), matrix (..., 4, 4)."""
 
     matrix: np.ndarray
     point: tuple
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.shape != (4, 4):
-            raise ValueError("metric must be 4x4")
+        points = np.asarray(self.point, dtype=np.float64)
+        self.point = tuple(points.tolist()) if points.ndim == 1 else points
+        if self.matrix.shape != points.shape[:-1] + (4, 4):
+            raise ValueError("metric must be 4x4 at each point")
 
     @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
+    def det(self):
+        return np.linalg.det(self.matrix)
 
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
+    def symmetry_defect(self):
+        return np.max(np.abs(self.matrix - np.swapaxes(self.matrix, -1, -2)), axis=(-2, -1))
+
+
+def _raise_at_first(bad, points, message: str, values=None) -> None:
+    """SingularMetricError at the first of points (..., 4), in C order, where
+    bad (...) holds; the value of `values` there, if given, ends the message."""
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), np.shape(bad))
+        if values is not None:
+            message = f"{message} {float(values[first])!r}"
+        location = tuple(float(v) for v in np.asarray(points, dtype=np.float64)[first])
+        raise SingularMetricError(message, location=location)
+
+
+# frame-index metric: g_12 = g_34 = 1 blocks, self-inverse
+FRAME_METRIC = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _metric(e: np.ndarray) -> np.ndarray:
+    """e^T eta e of coframes (..., 4, 4), eta = FRAME_METRIC, made exactly symmetric."""
+    g = np.swapaxes(e, -1, -2) @ FRAME_METRIC @ e
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 # |{Theta_w, Theta_z}| below this makes hp_metric's metric degenerate
 _BRACKET_TOL = 1e-12
 
 
+def _hp_coframe(theta: ThetaDerivatives, point) -> np.ndarray:
+    """Null coframe (..., 4, 4) of the heavenly metric at points (..., 4)."""
+    shape = np.shape(point)[:-1]
+    d = np.broadcast_to(theta.bracket_wz(point), shape)
+    _raise_at_first(np.abs(d) < _BRACKET_TOL, point, "degenerate metric, bracket", d)
+    zero = np.zeros(shape)
+    a = np.stack(np.broadcast_arrays(zero, zero, theta.d_pw(point), theta.d_qw(point)), -1)
+    b = np.stack(np.broadcast_arrays(zero, zero, theta.d_pz(point), theta.d_qz(point)), -1)
+    dw, dz = np.eye(4)[:2]
+    return np.stack([a, dw - a / d[..., None], b, dz - b / d[..., None]], -2) / math.sqrt(2.0)
+
+
 def hp_metric(theta: ThetaDerivatives, point) -> MetricField:
-    """Assemble the heavenly metric from a derivative pack at one point."""
-    d = theta.bracket_wz(point)
-    if abs(d) < _BRACKET_TOL:
-        raise SingularMetricError(
-            f"degenerate metric, bracket {d!r}", location=tuple(point)
-        )
-    a = np.array([0.0, 0.0, theta.d_pw(point), theta.d_qw(point)])
-    b = np.array([0.0, 0.0, theta.d_pz(point), theta.d_qz(point)])
-    ew = np.array([1.0, 0.0, 0.0, 0.0])
-    ez = np.array([0.0, 1.0, 0.0, 0.0])
-    g = 0.5 * (np.outer(ew, a) + np.outer(a, ew))
-    g += 0.5 * (np.outer(ez, b) + np.outer(b, ez))
-    g -= (np.outer(a, a) + np.outer(b, b)) / d
-    return MetricField(g, tuple(point))
+    """The heavenly metric of a derivative pack at points (..., 4)."""
+    return MetricField(_metric(_hp_coframe(theta, point)), point)
 
 
 def example_metric(point) -> MetricField:
@@ -179,11 +206,7 @@ class TetradFrame:
         point = np.asarray(point, dtype=np.float64)
         cq, sq, ca, _ = _trig(point)
         bad = (np.abs(cq) < _BRANCH_TOL) | (np.abs(ca) < _BRANCH_TOL)
-        if np.any(bad):
-            first = point[np.unravel_index(np.argmax(bad), bad.shape)]
-            raise SingularMetricError(
-                "tetrad hits a branch locus", location=tuple(float(v) for v in first)
-            )
+        _raise_at_first(bad, point, "tetrad hits a branch locus")
         z = point[..., 1]
         r = 1.0 / math.sqrt(2.0)
         phi = cq / ca
@@ -204,23 +227,8 @@ def example_tetrad() -> TetradFrame:
 
 
 def metric_from_tetrad(frame: TetradFrame, point) -> MetricField:
-    e = frame.at(point)
-    g = (
-        np.outer(e[0], e[1]) + np.outer(e[1], e[0])
-        + np.outer(e[2], e[3]) + np.outer(e[3], e[2])
-    )
-    return MetricField(g, tuple(point))
-
-
-# frame-index metric: g_12 = g_34 = 1 blocks, self-inverse
-FRAME_METRIC = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-)
+    """e^T eta e of frame.at(point), at the points frame.at takes."""
+    return MetricField(_metric(frame.at(point)), point)
 
 
 def _finite_step(step: float) -> None:
@@ -548,32 +556,23 @@ def admissible_points(count: int, seed: int = 0, margin: float = 0.3):
     return out
 
 
-def pp_wave_check(point) -> float:
-    """Max-abs gap between the metric and its plane-wave form pullback.
+def pp_wave_check(point):
+    """Max-abs gap between the metric and its plane-wave form pullback, per point (..., 4).
 
     In u = sin q, v = sin(z cos q + p), ordered (w, u, v, z), the metric is
     -dw du + dv dz - (du^2 + dv^2)/sqrt((1 - u^2)(1 - v^2)) on the branch
-    where both cosines are positive.
+    where both cosines are positive: the coframe (du, -dw - f du, dv, dz - f dv)/sqrt 2,
+    f = 1/(cos q cos(z cos q + p)).
     """
-    cq, sq, ca, sa = _trig(point)
-    if cq < _BRANCH_TOL or ca < _BRANCH_TOL:
-        raise SingularMetricError(
-            "plane-wave chart needs positive branch cosines", location=tuple(point)
-        )
-    z = point[1]
-    jac = np.zeros((4, 4))  # rows (w, u, v, z), columns COORDS
-    jac[0, 0] = 1.0
-    jac[1, 3] = cq
-    jac[2] = ca * np.array([0.0, cq, 1.0, -z * sq])
-    jac[3, 1] = 1.0
-
-    f = 1.0 / (cq * ca)
-    g_pp = np.zeros((4, 4))
-    g_pp[0, 1] = g_pp[1, 0] = -0.5
-    g_pp[2, 3] = g_pp[3, 2] = 0.5
-    g_pp[1, 1] = -f
-    g_pp[2, 2] = -f
-
-    pulled = jac.T @ g_pp @ jac
-    direct = example_metric(point).matrix
-    return float(np.max(np.abs(pulled - direct)))
+    point = np.asarray(point, dtype=np.float64)
+    cq, sq, ca, _ = _trig(point)
+    bad = (cq < _BRANCH_TOL) | (ca < _BRANCH_TOL)
+    _raise_at_first(bad, point, "plane-wave chart needs positive branch cosines")
+    z = point[..., 1]
+    zero = np.zeros_like(cq)
+    dw, dz = np.eye(4)[:2]  # the 1-forms in COORDS
+    du = np.stack([zero, zero, zero, cq], -1)
+    dv = np.stack([zero, ca * cq, ca, ca * (-z * sq)], -1)
+    f = (1.0 / (cq * ca))[..., None]
+    pulled = _metric(np.stack([du, -dw - f * du, dv, dz - f * dv], -2) / math.sqrt(2.0))
+    return np.max(np.abs(pulled - example_metric(point).matrix), axis=(-2, -1))

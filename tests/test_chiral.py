@@ -913,3 +913,9 @@ def test_convergence_validation():
     for ranks in ([4, 4], [2, 4, 4], [8, 2, 8]):
         with pytest.raises(ValueError, match=f"rank {max(ranks)} is repeated"):
             convergence_study(ranks)
+
+
+@pytest.mark.parametrize("points", [[], [(0.5,)], [0.5, 0.7]])
+def test_convergence_study_rejects_points_that_are_not_rows_of_two(points):
+    with pytest.raises(ValueError, match=r"one or more rows \(w, z\)"):
+        convergence_study([2, 4], points=points)

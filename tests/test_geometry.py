@@ -25,7 +25,7 @@ from startorus import (
     weyl_report,
     weyl_sample,
 )
-from startorus.numerics import central_diff
+from startorus.numerics import central_diff, cross_diff
 
 POINTS = admissible_points(20, seed=7)
 
@@ -387,3 +387,142 @@ def test_step_that_is_not_finite_and_positive_is_rejected(step):
     for extracted in (True, False):
         with pytest.raises(ValueError, match="step must be finite and > 0"):
             weyl_sample(pt, step=step, extracted=extracted)
+
+
+# The one-point metric assemblies that the coframe contraction replaced,
+# frozen as its oracle: outer products of the pack's 1-forms, and of the
+# coframe's rows.
+
+
+def _frozen_hp_metric(theta, pt):
+    d = theta.bracket_wz(pt)
+    a = np.array([0.0, 0.0, theta.d_pw(pt), theta.d_qw(pt)])
+    b = np.array([0.0, 0.0, theta.d_pz(pt), theta.d_qz(pt)])
+    ew, ez = np.eye(4)[:2]
+    g = 0.5 * (np.outer(ew, a) + np.outer(a, ew))
+    g += 0.5 * (np.outer(ez, b) + np.outer(b, ez))
+    g -= (np.outer(a, a) + np.outer(b, b)) / d
+    return g
+
+
+def _frozen_metric_from_tetrad(frame, pt):
+    e = frame.at(pt)
+    return np.outer(e[0], e[1]) + np.outer(e[1], e[0]) + np.outer(e[2], e[3]) + np.outer(e[3], e[2])
+
+
+def array_theta(x):
+    """The classical solution on points (..., 4)."""
+    return example_solution(0.0).evaluate(*np.moveaxis(np.asarray(x), -1, 0))
+
+
+PACKS = {"closed": example_theta(), "fd": fd_theta_derivatives(array_theta, step=1e-4)}
+
+
+@pytest.mark.parametrize("pack", PACKS)
+def test_hp_metric_matches_the_frozen_outer_products(pack):
+    theta = PACKS[pack]
+    for pt in POINTS:
+        got = hp_metric(theta, pt)
+        want = _frozen_hp_metric(theta, pt)
+        assert got.symmetry_defect() == 0.0
+        assert np.max(np.abs(got.matrix - want)) <= 1e-15 * np.max(np.abs(want)), pt
+
+
+def test_metric_from_tetrad_matches_the_frozen_outer_products():
+    frame = example_tetrad()
+    for pt in POINTS:
+        got = metric_from_tetrad(frame, pt)
+        want = _frozen_metric_from_tetrad(frame, pt)
+        assert got.symmetry_defect() == 0.0
+        assert np.max(np.abs(got.matrix - want)) <= 1e-15 * np.max(np.abs(want)), pt
+
+
+def test_fd_pack_on_arrays_takes_the_scalar_differences_bit_for_bit():
+    # the same bits as the scalar central_diff/cross_diff of one point
+    step = 1e-4
+    names = {"d_w": (0,), "d_z": (1,), "d_pw": (2, 0), "d_qw": (3, 0), "d_pz": (2, 1), "d_qz": (3, 1)}
+    for pt in POINTS:
+        for name, axes in names.items():
+            diff = central_diff if len(axes) == 1 else cross_diff
+            want = float(diff(classical_scalar, pt, *axes, step))
+            assert getattr(PACKS["fd"], name)(pt) == want, (name, pt)
+
+
+@pytest.mark.parametrize("shape", [(len(POINTS),), (2, 3)])
+def test_every_point_function_on_arrays_equals_its_per_point_calls(shape):
+    points = np.array(POINTS[: math.prod(shape)]).reshape(shape + (4,))
+    singles = [tuple(pt) for pt in points.reshape(-1, 4).tolist()]
+
+    def per_point(fn):
+        return np.array([fn(pt) for pt in singles]).reshape(shape + np.shape(fn(singles[0])))
+
+    for pack, theta in PACKS.items():
+        for name in ("d_w", "d_z", "d_pw", "d_qw", "d_pz", "d_qz", "bracket_wz"):
+            fn = getattr(theta, name)
+            assert np.array_equal(fn(points), per_point(fn)), (pack, name)
+        metric = hp_metric(theta, points)
+        assert np.array_equal(metric.matrix, per_point(lambda pt: hp_metric(theta, pt).matrix))
+        assert np.array_equal(metric.point, points)
+        assert np.array_equal(metric.det, per_point(lambda pt: hp_metric(theta, pt).det))
+        assert np.array_equal(metric.symmetry_defect(), np.zeros(shape))
+    frame = example_tetrad()
+    tetrad = metric_from_tetrad(frame, points).matrix
+    assert np.array_equal(tetrad, per_point(lambda pt: metric_from_tetrad(frame, pt).matrix))
+    assert np.array_equal(example_metric(points).matrix, per_point(lambda pt: example_metric(pt).matrix))
+    assert np.array_equal(pp_wave_check(points), per_point(pp_wave_check))
+
+
+def test_a_single_point_keeps_its_scalar_results():
+    pt = POINTS[0]
+    for metric in (example_metric(pt), metric_from_tetrad(example_tetrad(), pt)):
+        assert metric.matrix.shape == (4, 4)
+        assert metric.point == pt and isinstance(metric.point, tuple)
+        assert isinstance(metric.det, float) and isinstance(metric.symmetry_defect(), float)
+    assert isinstance(pp_wave_check(pt), float)
+    with pytest.raises(ValueError, match="4x4"):
+        MetricField(np.zeros((2, 4, 4)), pt)
+
+
+def test_example_d_qz_reads_z_of_every_point_of_an_array():
+    # z is the second coordinate of each point, not the second point
+    points = admissible_points(4, seed=1)
+    pack = example_theta()
+    assert np.array_equal(pack.d_qz(np.array(points)), [pack.d_qz(pt) for pt in points])
+
+
+def _w_bracket_pack():
+    """A pack whose bracket {theta_w, theta_z} is w: degenerate where w = 0."""
+    return ThetaDerivatives(
+        d_w=lambda pt: 1.0,
+        d_z=lambda pt: 1.0,
+        d_pw=lambda pt: 0.0,
+        d_qw=lambda pt: np.asarray(pt)[..., 0],
+        d_pz=lambda pt: 1.0,
+        d_qz=lambda pt: 0.0,
+    )
+
+
+def test_hp_metric_raises_at_the_first_degenerate_point_of_an_array():
+    points = np.array(POINTS[:6]).reshape(2, 3, 4)
+    points[0, 2, 0] = points[1, 1, 0] = 0.0
+    with pytest.raises(SingularMetricError) as err:
+        hp_metric(_w_bracket_pack(), points)
+    assert err.value.location == tuple(points[0, 2].tolist())
+    assert str(err.value) == f"degenerate metric, bracket 0.0 at {tuple(points[0, 2].tolist())}"
+    # the points that clear it give the metric of each alone
+    good = hp_metric(_w_bracket_pack(), points[1, 2])
+    assert np.array_equal(hp_metric(_w_bracket_pack(), points[1:, 2:]).matrix[0, 0], good.matrix)
+
+
+def test_pp_wave_check_raises_at_the_first_point_off_its_branch():
+    points = np.array(POINTS[:6]).reshape(2, 3, 4)
+    points[1, 0] = (0.0, 0.0, np.pi, 0.0)  # cos(arg) = -1
+    points[1, 2] = (0.1, 0.2, np.pi, 0.0)
+    with pytest.raises(SingularMetricError) as err:
+        pp_wave_check(points)
+    assert err.value.location == (0.0, 0.0, np.pi, 0.0)
+    assert "positive branch cosines" in str(err.value)
+    points[0, 1] = (0.3, 0.0, 0.0, np.pi / 2)  # cos q = 6e-17, first in C order
+    with pytest.raises(SingularMetricError) as err:
+        pp_wave_check(points)
+    assert err.value.location == (0.3, 0.0, 0.0, np.pi / 2)

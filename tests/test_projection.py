@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from startorus import (
     FourierField,
@@ -70,6 +71,41 @@ def test_bracket_homomorphism_random_pairs():
             g = random_real_field(rng, 5, 4)
             worst = max(worst, commutator_defect(f, g, n))
         assert worst <= 1e-10, (n, worst)
+
+
+coeff_floats = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+ranks = st.integers(2, 16)
+
+
+@st.composite
+def real_fields(draw, band: int = 4, max_modes: int = 6) -> FourierField:
+    """Real fields, c_{-m} = conj(c_m), on at most max_modes modes |m_i| <= band."""
+    mode = st.tuples(st.integers(-band, band), st.integers(-band, band))
+    modes = draw(st.lists(mode, min_size=1, max_size=max_modes, unique=True))
+    coeffs = [complex(draw(coeff_floats), draw(coeff_floats)) for _ in modes]
+    f = FourierField(np.array(modes, dtype=np.int64), np.array(coeffs))
+    return 0.5 * (f + f.conjugate())
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_fields(), real_fields(), ranks)
+def test_fold_is_a_bracket_homomorphism(f, g, n):
+    # chi_n({f, g}_{2 pi/n}) = [chi_n f, chi_n g] within 1e-10 of the
+    # largest entry of either side (or of 1)
+    lhs = chi_project(moyal_bracket(f, g, matched_hbar(n)), n)
+    a, b = chi_project(f, n), chi_project(g, n)
+    scale = max(1.0, np.max(np.abs(lhs)), np.max(np.abs(a @ b - b @ a)))
+    assert commutator_defect(f, g, n) <= 1e-10 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_fields(), ranks)
+def test_fold_of_a_real_field_is_in_su_n(f, n):
+    # anti-hermitian and traceless within 1e-12 of the largest entry (or of 1)
+    m = chi_project(f, n)
+    scale = max(1.0, np.max(np.abs(m)))
+    assert np.max(np.abs(m + m.conj().T)) <= 1e-12 * scale
+    assert abs(np.trace(m)) <= 1e-12 * scale
 
 
 def test_homomorphism_handles_folds_to_zero():
