@@ -106,17 +106,21 @@ def _canonical(modes: np.ndarray, coeffs: np.ndarray, prune: float):
         raise ValueError(f"non-finite coefficient {coeffs[k]} at mode {tuple(modes[k].tolist())}")
     if modes.shape[0] == 0:
         return modes.reshape(0, 2), coeffs
-    order = np.lexsort((modes[:, 1], modes[:, 0]))
-    modes = modes[order]
-    coeffs = coeffs[order]
-    boundary = np.empty(modes.shape[0], dtype=bool)
-    boundary[0] = True
-    boundary[1:] = np.any(modes[1:] != modes[:-1], axis=1)
-    starts = np.flatnonzero(boundary)
-    merged = np.add.reduceat(coeffs, starts)
-    modes = modes[starts]
-    keep = np.abs(merged) > prune
-    return modes[keep], merged[keep]
+    # modes already strictly increasing skip the sort and merge, whose
+    # one-entry sums would return each coefficient as it is (-0.0 included)
+    m1, m2 = modes[:, 0], modes[:, 1]
+    if not ((m1[1:] > m1[:-1]) | ((m1[1:] == m1[:-1]) & (m2[1:] > m2[:-1]))).all():
+        order = np.lexsort((m2, m1))
+        modes = modes[order]
+        coeffs = coeffs[order]
+        boundary = np.empty(modes.shape[0], dtype=bool)
+        boundary[0] = True
+        boundary[1:] = np.any(modes[1:] != modes[:-1], axis=1)
+        starts = np.flatnonzero(boundary)
+        coeffs = np.add.reduceat(coeffs, starts)
+        modes = modes[starts]
+    keep = np.abs(coeffs) > prune
+    return modes[keep], coeffs[keep]
 
 
 class FourierField:
@@ -548,7 +552,11 @@ def sample_on_grid(f: FourierField, n: int) -> np.ndarray:
 def _fft_window(samples: np.ndarray, band_limit: int) -> np.ndarray:
     """Coefficients c_m at [..., R + m1, R + m2], |m1|, |m2| <= R = band_limit,
     of samples[..., j, k] taken at (p_j, q_k) = (2 pi j / n1, 2 pi k / n2).
-    Both n1 and n2 must be at least 2R + 2 to separate the band from its aliases."""
+    Both n1 and n2 must be at least 2R + 2 to separate the band from its aliases.
+
+    Real samples take one real FFT on q, cut to m2 = 0..R, then an FFT on p;
+    c_(-m) is written as conj(c_m), so their windows are exactly Hermitian.
+    Complex samples are window(real part) + 1j window(imaginary part)."""
     n1, n2 = samples.shape[-2:]
     need = 2 * band_limit + 2
     if n1 < need or n2 < need:
@@ -556,9 +564,17 @@ def _fft_window(samples: np.ndarray, band_limit: int) -> np.ndarray:
             f"grid {samples.shape[-2:]} too small for band_limit {band_limit}; "
             f"need at least {need} points per axis"
         )
-    rng = np.arange(-band_limit, band_limit + 1)
-    spect = np.fft.fft2(samples)
-    return spect[..., (rng % n1)[:, None], (rng % n2)[None, :]] / (n1 * n2)
+    if np.iscomplexobj(samples):
+        return _fft_window(samples.real, band_limit) + 1j * _fft_window(samples.imag, band_limit)
+    r = band_limit
+    half = np.fft.rfft(samples.astype(np.float64, copy=False), axis=-1)[..., : r + 1]
+    half = np.fft.fft(half, axis=-2)[..., np.arange(-r, r + 1) % n1, :] / (n1 * n2)
+    out = np.empty(half.shape[:-1] + (2 * r + 1,), dtype=np.complex128)
+    out[..., r:] = half  # m2 = 0..R
+    np.conjugate(half[..., ::-1, :0:-1], out=out[..., :r])  # m2 = -R..-1
+    np.conjugate(half[..., :r:-1, 0], out=out[..., :r, r])  # m2 = 0, m1 = -R..-1
+    out.imag[..., r, r] = 0.0  # c_0, which a Bluestein FFT (n1 = 89, 101, ...) leaves complex
+    return out
 
 
 def fft_project(samples: np.ndarray, band_limit: int) -> FourierField:

@@ -175,11 +175,12 @@ _BRACKET_TOL = 1e-12
 def _hp_coframe(theta: ThetaDerivatives, point) -> np.ndarray:
     """Null coframe (..., 4, 4) of the heavenly metric at points (..., 4)."""
     shape = np.shape(point)[:-1]
-    d = np.broadcast_to(theta.bracket_wz(point), shape)
+    pw, qw, pz, qz = (f(point) for f in (theta.d_pw, theta.d_qw, theta.d_pz, theta.d_qz))
+    d = np.broadcast_to(qw * pz - pw * qz, shape)  # `bracket_wz`, each gradient taken once
     _raise_at_first(np.abs(d) < _BRACKET_TOL, point, "degenerate metric, bracket", d)
     zero = np.zeros(shape)
-    a = np.stack(np.broadcast_arrays(zero, zero, theta.d_pw(point), theta.d_qw(point)), -1)
-    b = np.stack(np.broadcast_arrays(zero, zero, theta.d_pz(point), theta.d_qz(point)), -1)
+    a = np.stack(np.broadcast_arrays(zero, zero, pw, qw), -1)
+    b = np.stack(np.broadcast_arrays(zero, zero, pz, qz), -1)
     dw, dz = np.eye(4)[:2]
     return np.stack([a, dw - a / d[..., None], b, dz - b / d[..., None]], -2) / math.sqrt(2.0)
 

@@ -95,9 +95,9 @@ class SpacetimeGrid:
 
 
 # torus samples per evaluator call and batched FFT in
-# GriddedFourierField.sample, held in one reused complex buffer of 512 KB
-# (or one torus, if that is larger); a multi-MB batch slowed later,
-# unrelated steps of the same process
+# GriddedFourierField.sample, 256 KB of real samples (or one torus, if that
+# is larger); a multi-MB batch slowed later, unrelated steps of the same
+# process
 _SAMPLE_BATCH = 1 << 15
 
 
@@ -146,8 +146,11 @@ class GriddedFourierField:
         every callable on a grid, `KahlerBackground`'s too), and the result
         must broadcast to the batch's samples (B, n, n); a result of shape
         (n, n), (n, 1) or (1, n), or a scalar, holds for every node of it.
-        |c| <= DEFAULT_PRUNE is zeroed, as in `fft_project`.  The windows are
-        full (2R+1, 2R+1); the residuals then work on their occupied m1 rows.
+        The result is broadcast, not copied, and projected as it is
+        (`_fft_window`): real values by one real FFT, into exactly Hermitian
+        windows; complex values part by part.  |c| <= DEFAULT_PRUNE is zeroed
+        batch by batch, as in `fft_project`.  The windows are full
+        (2R+1, 2R+1); the residuals then work on their occupied m1 rows.
         """
         if band_limit < 0:
             raise ValueError(f"band_limit must be >= 0, got {band_limit}")
@@ -155,24 +158,24 @@ class GriddedFourierField:
         P, Q = t[:, None], t[None, :]
         count = math.prod(grid.shape)
         batch = min(count, max(1, _SAMPLE_BATCH // (torus_n * torus_n)))
-        samples = np.empty((batch, torus_n, torus_n), dtype=np.complex128)
         side = 2 * band_limit + 1
         values = np.empty((count, side, side), dtype=np.complex128)
         for start in range(0, count, batch):
             stop = min(start + batch, count)
             index = np.unravel_index(np.arange(start, stop), grid.shape)
             point = tuple(a[i].reshape(-1, 1, 1) for a, i in zip(grid.axes, index))
-            out = samples[: stop - start]
             result = evaluator(point, P, Q)
+            shape = (stop - start, torus_n, torus_n)
             try:
-                out[...] = result
+                samples = np.broadcast_to(result, shape)
             except ValueError:
                 raise ValueError(
                     f"evaluator returned shape {np.shape(result)}, which does not "
-                    f"broadcast to the batch's samples {out.shape}"
+                    f"broadcast to the batch's samples {shape}"
                 ) from None
-            values[start:stop] = _fft_window(out, band_limit)
-        values[np.abs(values) <= DEFAULT_PRUNE] = 0.0
+            window = _fft_window(samples, band_limit)
+            window[np.abs(window) <= DEFAULT_PRUNE] = 0.0
+            values[start:stop] = window
         return cls(grid, values.reshape(grid.shape + (side, side)), hbar)
 
     def node(self, index: tuple) -> FourierField:

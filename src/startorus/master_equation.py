@@ -192,8 +192,12 @@ class ClosedFormSolution:
     Theta = (pi/2) cos(p+q) - w sin q + [cos(z s cos q + p) - cos p]/(s cos q)
 
     with s = freq_factor(hbar).  With a = z s cos q / 2 the last term is
-    -z sin(a + p) sin(a)/a, and `evaluate` takes it in that form, with
-    sin(a)/a = np.sinc(a/pi): one formula with no 0/0, cos q = 0 included.
+    -z sin(a + p) sin(a)/a, with sin(a)/a = np.sinc(a/pi): one formula with
+    no 0/0, cos q = 0 included.  `evaluate` expands cos(p + q) and sin(a + p)
+    by the addition theorems, Theta = cos p U - sin p V - w sin q with
+    U = (pi/2) cos q - z sinc sin a and V = (pi/2) sin q + z sinc cos a, so
+    every sine and cosine is taken on p or on (w, z, q) alone and a torus of
+    p column by q row sees only products and sums.
 
     Its torus modes are known in closed form: Bessel integrals of z s on the
     modes (+-1, l) (`_expansion_row`).  `windows` lays them out as band-R
@@ -209,8 +213,12 @@ class ClosedFormSolution:
     def evaluate(self, w, z, p, q):
         """Theta at w, z, p and q broadcast together; a float if all are scalars."""
         w, z, p, q = (np.asarray(x, dtype=np.float64) for x in (w, z, p, q))
-        a = 0.5 * self.s * np.cos(q) * z
-        out = 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) - z * np.sin(a + p) * np.sinc(a / np.pi)
+        cq, sq = np.cos(q), np.sin(q)
+        a = 0.5 * self.s * cq * z
+        za = z * np.sinc(a / np.pi)
+        u = 0.5 * np.pi * cq - za * np.sin(a)
+        v = 0.5 * np.pi * sq + za * np.cos(a)
+        out = np.cos(p) * u - np.sin(p) * v - w * sq
         return out if np.ndim(out) else float(out)
 
     def windows(self, w, z, band_limit: int) -> np.ndarray:
@@ -237,8 +245,7 @@ class ClosedFormSolution:
         """Torus-mode content at fixed (w, z) by FFT projection of sampled
         values: the reference the closed-form expansion is checked against."""
         pp, qq = torus_nodes(torus_n)
-        samples = self.evaluate(w, z, pp, qq)
-        return fft_project(np.asarray(samples, dtype=np.complex128), band_limit)
+        return fft_project(self.evaluate(w, z, pp, qq), band_limit)
 
     def gridded(self, grid: SpacetimeGrid, band_limit: int) -> GriddedFourierField:
         """`windows` at every (w, z) node, with no torus sampling;

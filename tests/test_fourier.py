@@ -896,3 +896,116 @@ def test_projection_guards():
     wide = FourierField.basis(5, 0)
     with pytest.raises(ValueError):
         sample_on_grid(wide, 10)  # 10 <= 2*5 aliases
+
+
+# ---------------------------------------------------------------------------
+# the real-arithmetic projection and the sort-skipping canonical form against
+# the code they replaced, frozen as their references
+
+def frozen_fft_window(samples: np.ndarray, band_limit: int) -> np.ndarray:
+    """`fourier._fft_window` before its real FFT: one complex fft2 of the
+    whole torus, every sample taken as complex."""
+    n1, n2 = samples.shape[-2:]
+    rng = np.arange(-band_limit, band_limit + 1)
+    spect = np.fft.fft2(samples)
+    return spect[..., (rng % n1)[:, None], (rng % n2)[None, :]] / (n1 * n2)
+
+
+def frozen_canonical(modes, coeffs, prune):
+    """`fourier._canonical`'s sort-and-merge before it skipped ordered modes."""
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, 2)
+    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    if modes.shape[0] == 0:
+        return modes, coeffs
+    order = np.lexsort((modes[:, 1], modes[:, 0]))
+    modes = modes[order]
+    coeffs = coeffs[order]
+    boundary = np.empty(modes.shape[0], dtype=bool)
+    boundary[0] = True
+    boundary[1:] = np.any(modes[1:] != modes[:-1], axis=1)
+    starts = np.flatnonzero(boundary)
+    merged = np.add.reduceat(coeffs, starts)
+    modes = modes[starts]
+    keep = np.abs(merged) > prune
+    return modes[keep], merged[keep]
+
+
+@st.composite
+def torus_samples(draw, real: bool):
+    """(samples (..., n1, n2), R) with 0 <= R <= (min(n1, n2) - 2) / 2: up to
+    two batch axes, odd and even sides (89 and 101 take numpy's Bluestein
+    FFT), normal, integer or constant values over 16 decades of scale."""
+    sides = st.one_of(st.integers(2, 40), st.sampled_from([89, 101]))
+    n1, n2 = draw(sides), draw(sides)
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (n1, n2)
+    band = draw(st.integers(0, (min(n1, n2) - 2) // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "constant"]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+
+    def part():
+        if kind == "normal":
+            return rng.standard_normal(shape)
+        if kind == "integer":
+            return rng.integers(-3, 4, shape).astype(np.float64)
+        return np.full(shape, rng.standard_normal())
+
+    samples = part() if real else part() + 1j * part()
+    return scale * samples, band
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(torus_samples(real=True), torus_samples(real=False)))
+def test_fft_window_agrees_with_the_complex_fft2(case):
+    # both are exact up to the transforms' round-off, O(eps log N) of the
+    # largest sample for N = n1 n2 points; constant samples, whose one
+    # coefficient is that large, come closest (~1.0 eps log2 N at 97 x 101,
+    # where both transforms take the Bluestein route)
+    samples, band = case
+    got = fourier._fft_window(samples, band)
+    want = frozen_fft_window(samples, band)
+    assert got.shape == want.shape == samples.shape[:-2] + (2 * band + 1,) * 2
+    n1, n2 = samples.shape[-2:]
+    bound = 2 * math.log2(n1 * n2) * np.finfo(np.float64).eps * np.max(np.abs(samples))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(torus_samples(real=True))
+def test_fft_window_of_real_samples_is_exactly_hermitian(case):
+    # c_(-m) = conj(c_m) byte for byte; c_0 is real, and conj turns its
+    # imaginary +0.0 into -0.0, the one place the bytes of the mirror differ
+    samples, r = case
+    window = fourier._fft_window(samples, r)
+    mirror = np.conj(window[..., ::-1, ::-1])
+    assert np.all(window[..., r, r].imag == 0.0)
+    mirror[..., r, r] = window[..., r, r]
+    assert window.tobytes() == mirror.tobytes()
+
+
+@st.composite
+def mode_tables(draw):
+    """(modes, coeffs): ordered, ordered with repeats, or shuffled, with
+    signed zeros and entries at and around DEFAULT_PRUNE among the values."""
+    modes = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=0, max_size=12)
+    )
+    layout = draw(st.sampled_from(["ordered", "repeats", "shuffled"]))
+    if layout == "ordered":
+        modes = sorted(set(modes))
+    elif layout == "repeats":
+        modes = sorted(modes)
+    parts = st.sampled_from([0.0, -0.0, 1e-16, -1e-15, 1e-15, 2e-15, 0.5, -1.25, 3.0])
+    coeffs = [complex(draw(parts), draw(parts)) for _ in modes]
+    return np.array(modes, dtype=np.int64).reshape(-1, 2), np.array(coeffs, dtype=np.complex128)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode_tables(), st.sampled_from([0.0, fourier.DEFAULT_PRUNE]))
+def test_canonical_equals_the_frozen_sort_and_merge(table, prune):
+    modes, coeffs = table
+    got = fourier._canonical(modes, coeffs, prune)
+    want = frozen_canonical(modes, coeffs, prune)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()  # -0.0 included
+    assert got[0] is not modes and got[1] is not coeffs

@@ -448,6 +448,24 @@ def test_fd_pack_on_arrays_takes_the_scalar_differences_bit_for_bit():
             assert getattr(PACKS["fd"], name)(pt) == want, (name, pt)
 
 
+def test_hp_metric_takes_each_gradient_of_an_fd_pack_once():
+    # four mixed differences of four theta calls each; the bracket d is
+    # taken from the same four gradients (32 calls when it took its own)
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return array_theta(x)
+
+    points = admissible_points(8, seed=5)
+    theta = fd_theta_derivatives(counted, step=1e-4)
+    got = hp_metric(theta, points)
+    assert calls == [(8, 4)] * 16
+    for pt, g in zip(points, got.matrix):
+        want = _frozen_hp_metric(theta, pt)
+        assert np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(want)), pt
+
+
 @pytest.mark.parametrize("shape", [(len(POINTS),), (2, 3)])
 def test_every_point_function_on_arrays_equals_its_per_point_calls(shape):
     points = np.array(POINTS[: math.prod(shape)]).reshape(shape + (4,))

@@ -127,7 +127,8 @@ def test_sample_projects_each_node():
 @pytest.mark.parametrize("batch", [None, 3 * 20 * 20, 5 * 20 * 20])
 def test_sample_equals_per_node_fft_project(batch, monkeypatch):
     # three nodes per batch end batches mid-row; with five, the last batch
-    # holds two nodes and stale rows of the reused sample buffer would show
+    # holds two nodes; the evaluator is complex, so each window is the sum
+    # of its real and imaginary parts' windows, as in `fft_project`
     if batch is not None:
         monkeypatch.setattr(grids, "_SAMPLE_BATCH", batch)
     grid = SpacetimeGrid({"a": [0.0, 0.3, 0.6], "b": [-1.0, 0.0, 1.0, 2.0]})
@@ -210,6 +211,7 @@ def test_sample_passes_sparse_nodes_and_matches_full_meshgrids(batch, monkeypatc
     got = GriddedFourierField.sample(grid, sparse, 5, 0.3, torus_n=12)
     want = GriddedFourierField.sample(grid, full, 5, 0.3, torus_n=12)
     assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.values, np.conj(got.values[..., ::-1, ::-1]))  # real: Hermitian
     mesh = torus_nodes(12)
     for P, Q in seen:
         assert P.shape == (12, 1) and Q.shape == (1, 12)

@@ -147,6 +147,48 @@ def test_evaluate_matches_the_two_branch_formula():
             assert abs(got - two_branch_evaluate(sol, w, 0.5, 1.1, q)) <= 4e-15
 
 
+def frozen_evaluate(sol, w, z, p, q):
+    """`ClosedFormSolution.evaluate` before the addition theorems: cos(p + q)
+    and sin(a + p) taken at every (p, q) of the torus."""
+    w, z, p, q = (np.asarray(x, dtype=np.float64) for x in (w, z, p, q))
+    a = 0.5 * sol.s * np.cos(q) * z
+    out = 0.5 * np.pi * np.cos(p + q) - w * np.sin(q) - z * np.sin(a + p) * np.sinc(a / np.pi)
+    return out if np.ndim(out) else float(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(1e-3, 2 * np.pi / 3)),
+    st.integers(2, 48),
+    st.lists(
+        st.tuples(st.floats(-1, 1), st.one_of(st.just(0.0), st.floats(-2, 2))),
+        min_size=1,
+        max_size=6,
+    ),
+    st.floats(0, 2 * np.pi),
+    st.floats(0, 2 * np.pi),
+)
+def test_evaluate_agrees_with_the_frozen_full_torus_sine(hbar, n, nodes, p, q):
+    # on the nodes of `GriddedFourierField.sample` (w and z (B, 1, 1), a
+    # column of p, a row of q), with the rows cos q = 0 (q = pi/2 and 3pi/2)
+    # and a node at z = 0 among them, and at one scalar point of each node;
+    # |w| <= 1 and |z| <= 2 keep Theta below ~5, whose round-off the bound allows
+    nodes = nodes + [(nodes[0][0], 0.0)]
+    sol = example_solution(hbar)
+    t = 2 * np.pi * np.arange(n) / n
+    P = t[:, None]
+    Q = np.concatenate([t, [np.pi / 2, 1.5 * np.pi]])[None, :]
+    w, z = (np.array(c).reshape(-1, 1, 1) for c in zip(*nodes))
+    got = sol.evaluate(w, z, P, Q)
+    want = frozen_evaluate(sol, w, z, P, Q)
+    assert got.shape == want.shape == (len(nodes), n, n + 2)
+    assert np.max(np.abs(got - want)) <= 4e-15
+    for wk, zk in nodes:
+        got = sol.evaluate(wk, zk, p, q)
+        assert isinstance(got, float)
+        assert abs(got - frozen_evaluate(sol, wk, zk, p, q)) <= 4e-15
+
+
 def test_evaluate_broadcasts_and_is_real():
     sol = example_solution(0.3)
     p = np.linspace(0, 2 * np.pi, 9)[:, None]
